@@ -72,8 +72,11 @@ class EtaQuotient:
         return best
 
     def to_series(self, order: int) -> PowerSeries:
-        """Exact expansion sound at least to the requested lattice order."""
-        inner = order - self.lattice_shift
+        """Exact expansion sound at least to the requested lattice order.
+
+        Below the q-prefix (order < lattice_shift) the factors are still
+        expanded to order 0, so the result reaches past the request."""
+        inner = max(order - self.lattice_shift, 0)
         out = PowerSeries.one(inner)
         for f in self.factors:
             out = mul(out, pow_int(series_f(f.k, f.sign, inner), f.exponent))

@@ -10,12 +10,20 @@ coefficients at lattice exponents e <= N are exact and coefficients beyond N
 are unknown (not zero).  Arithmetic propagates N soundly; in particular the
 product of series with orders N1, N2 and leading exponents l1, l2 is only
 trusted up to min(N1 + l2, N2 + l1).
+
+Storage is a sparse dict from exponent to Fraction.  Multiplication is
+Kronecker substitution: each operand is scaled to integer coefficients by the
+lcm of its denominators, laid out as a dense list on the lattice step common
+to both operands and cut at the product's order, and packed into one Python
+int with a slot per coefficient; one big-int product then yields every
+product coefficient at once.  The result is the same sparse dict, with the
+same truncation order, that term-by-term convolution gives.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping
 
 LATTICE = 24
@@ -121,18 +129,60 @@ def add_scalar(a: PowerSeries, c: Fraction | int) -> PowerSeries:
     return add(a, PowerSeries.monomial(Fraction(c), 0, a.order))
 
 
+def _scaled_slots(a: PowerSeries, lead: int, step: int, last: int) -> tuple[dict[int, int], int]:
+    """Coefficients at exponents up to `last`, keyed by slot (e - lead) // step
+    and multiplied by the scale, the lcm of their denominators; and the scale."""
+    kept = {e: c for e, c in a.coeffs.items() if e <= last}
+    scale = lcm(*(c.denominator for c in kept.values()))
+    return {(e - lead) // step: c.numerator * (scale // c.denominator)
+            for e, c in kept.items()}, scale
+
+
+def _pack(slots: dict[int, int], width: int, length: int) -> int:
+    """Sum of slots[i] * 2^(8 * width * i); positive and negative parts are
+    laid out as unsigned bytes separately so that signed values pack exactly."""
+    pos, neg = bytearray(width * length), bytearray(width * length)
+    for i, c in slots.items():
+        if c > 0:
+            pos[i * width:(i + 1) * width] = c.to_bytes(width, "little")
+        else:
+            neg[i * width:(i + 1) * width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
 def mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
+    """Product by Kronecker substitution: both operands, scaled to integer
+    coefficients on their common lattice step, are evaluated at a power of two
+    wide enough that no product coefficient overflows its slot, multiplied as
+    two Python ints, and the product's slots are read back."""
     la, lb = _bound_exponent(a), _bound_exponent(b)
     order = min(a.order + lb, b.order + la)
+    top_exponent = order - la - lb
+    if top_exponent < 0:
+        # an operand is zero up to its order, so no term reaches the product
+        return PowerSeries({}, order)
+    step = gcd(*(e - la for e in a.coeffs), *(e - lb for e in b.coeffs)) or 1
+    sa, scale_a = _scaled_slots(a, la, step, order - lb)
+    sb, scale_b = _scaled_slots(b, lb, step, order - la)
+    # |product coefficient| <= max|a| * max|b| * (terms in the shorter
+    # operand); one more bit holds the sign, and slots are whole bytes
+    bound = max(map(abs, sa.values())) * max(map(abs, sb.values())) * min(len(sa), len(sb))
+    width = (bound.bit_length() + 8) // 8
+    product = _pack(sa, width, max(sa) + 1) * _pack(sb, width, max(sb) + 1)
+    # a bias of half a slot in every slot makes each slot's value nonnegative;
+    # the slots up to the order then read back exactly, whatever lies above them
+    slots = top_exponent // step + 1
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    half = 1 << (8 * width - 1)
+    raw = ((product + bias) & ((1 << (8 * width * slots)) - 1)).to_bytes(width * slots, "little")
+    scale = scale_a * scale_b
     out: dict[int, Fraction] = {}
-    b_items = sorted(b.coeffs.items())
-    for ea, ca in sorted(a.coeffs.items()):
-        for eb, cb in b_items:
-            e = ea + eb
-            if e > order:
-                break
-            out[e] = out.get(e, Fraction(0)) + ca * cb
-    return PowerSeries(_clean(out, order), order)
+    for i in range(slots):
+        c = int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
+        if c:
+            # Fraction(c) skips the gcd that Fraction(c, 1) would take
+            out[la + lb + i * step] = Fraction(c) if scale == 1 else Fraction(c, scale)
+    return PowerSeries(out, order)
 
 
 def invert(a: PowerSeries) -> PowerSeries:

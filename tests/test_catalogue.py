@@ -10,6 +10,7 @@ from thetaprod.catalogue import (CatalogueError, IdentityRecord, find_record,
                                  load_builtin, parse_catalogue,
                                  render_catalogue)
 from thetaprod.quotient import EtaQuotient
+from thetaprod.verify import verify_series
 
 EXPECTED_IDS = {"e24", "dup3", "dup5", "dup7", "dup13",
                 "gq3", "gq5", "gq7", "gq13", "gq43",
@@ -180,3 +181,10 @@ def test_builtin_records_vanish_numerically(rid):
                  for (i, j), c in rec.relation_poly.terms.items()]
         residual = abs(mp.fsum(terms)) / max(abs(t) for t in terms)
         assert residual < mp.mpf(10) ** -40
+
+
+@pytest.mark.parametrize("order", [24, 48])
+@pytest.mark.parametrize("rid", sorted(EXPECTED_IDS))
+def test_builtin_records_pass_series_at_small_orders(rid, order):
+    """Orders below a quotient's q-prefix (rec7, rec13) are valid requests."""
+    assert verify_series(find_record(load_builtin(), rid), order).ok

@@ -124,6 +124,13 @@ def test_verify_identity_series_only(capsys):
     assert "numeric" not in out
 
 
+def test_verify_identity_series_order_below_q_prefix(capsys):
+    code, out, _ = run_cli(capsys, "verify-identity", "rec7", "--series",
+                           "--series-order", "24")
+    assert code == 0
+    assert "PASS  rec7 series  [order=24]" in out
+
+
 def test_verify_identity_unknown_id_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify-identity", "nope", "--digits", "45")
     assert code == 2

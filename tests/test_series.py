@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thetaprod.series import (
     LATTICE,
@@ -278,3 +278,64 @@ def test_invert_is_two_sided_inverse(a):
 def test_scale_argument_is_ring_homomorphism(a, b, k):
     assert scale_argument(mul(a, b), k) == mul(scale_argument(a, k), scale_argument(b, k))
     assert scale_argument(add(a, b), k) == add(scale_argument(a, k), scale_argument(b, k))
+
+
+# ------------------------------------------------------- multiplication oracle
+
+def schoolbook_mul(a: PowerSeries, b: PowerSeries) -> tuple[dict[int, Fraction], int]:
+    """Term-by-term convolution, cut at the sound order of the product."""
+    la = min(a.coeffs, default=a.order + 1)
+    lb = min(b.coeffs, default=b.order + 1)
+    order = min(a.order + lb, b.order + la)
+    out: dict[int, Fraction] = {}
+    for ea, ca in a.coeffs.items():
+        for eb, cb in b.coeffs.items():
+            if ea + eb <= order:
+                out[ea + eb] = out.get(ea + eb, Fraction(0)) + ca * cb
+    return {e: c for e, c in out.items() if c}, order
+
+
+@st.composite
+def wide_series(draw):
+    """Series on a drawn lattice step with coefficients up to about 10^40 of
+    either sign over mixed denominators, leading exponents of either sign,
+    and orders that may cut every term (an empty operand).  Some draws give
+    every term the same value 2^k - 1, which fills each product coefficient
+    up to its slot's capacity."""
+    step = draw(st.sampled_from([1, 2, 3, 8, 12, 24]))
+    lead = draw(st.integers(min_value=-72, max_value=72))
+    offsets = draw(st.lists(st.integers(min_value=0, max_value=40), max_size=25, unique=True))
+    if draw(st.booleans()):
+        full = (1 << draw(st.integers(min_value=1, max_value=140))) - 1
+        coeffs = {lead + step * o: Fraction(full) for o in offsets}
+    else:
+        coeffs = {}
+        for o in offsets:
+            size = 10 ** draw(st.integers(min_value=0, max_value=40))
+            num = draw(st.integers(min_value=-size, max_value=size).filter(lambda n: n != 0))
+            coeffs[lead + step * o] = Fraction(num, draw(st.integers(min_value=1, max_value=60)))
+    order = lead + draw(st.integers(min_value=-24, max_value=step * 40 + 24))
+    return PowerSeries.from_terms(coeffs, order)
+
+
+BIG = 10 ** 40
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_series(), wide_series())
+@example(PowerSeries.zero(48), PowerSeries.from_terms({-24: 3, 0: 1}, 96))
+@example(PowerSeries.from_terms({-24: 3, 0: 1}, 96), PowerSeries.zero(-30))
+@example(PowerSeries.from_terms({0: BIG, 1: -BIG, 2: BIG, 3: -1}, 10),
+         PowerSeries.from_terms({0: -BIG, 1: BIG, 2: Fraction(BIG, 7), 3: 1}, 10))
+@example(PowerSeries.from_terms({5: Fraction(1, 3), 29: Fraction(-2, 9)}, 60),
+         PowerSeries.from_terms({-7: Fraction(5, 4), 1: -1, 17: Fraction(1, 6)}, 20))
+@example(PowerSeries.from_terms({70: 1, 71: 2}, 71), PowerSeries.from_terms({72: -3, 73: 1}, 73))
+@example(PowerSeries.from_terms({0: 255}, 0), PowerSeries.from_terms({0: 255}, 0))
+@example(PowerSeries.from_terms({e: 127 for e in range(4)}, 3),
+         PowerSeries.from_terms({e: 127 for e in range(4)}, 3))
+def test_mul_matches_schoolbook_convolution(a, b):
+    coeffs, order = schoolbook_mul(a, b)
+    product = mul(a, b)
+    assert product.order == order
+    assert product.coeffs == coeffs
+    assert all(type(c) is Fraction for c in product.coeffs.values())

@@ -146,11 +146,11 @@ def _load_registry(args):
         raise UsageError(f"malformed registry: {exc}")
 
 
-def _parse_probes(args, prec):
-    if args.probes is None:
+def _parse_probes(text):
+    if text is None:
         return None
     out = []
-    for chunk in args.probes.split(","):
+    for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -213,25 +213,30 @@ def _cmd_eval_nome(args, prec):
     return [CheckRecord(f"nome({m},{n})", "value", "pass", details)]
 
 
-def _identity_records(args, catalogue):
-    if args.id == "all":
+def _identity_records(ident, catalogue):
+    if ident == "all":
         return list(catalogue)
     try:
-        return [find_record(catalogue, args.id)]
+        return [find_record(catalogue, ident)]
     except KeyError as exc:
         raise UsageError(str(exc.args[0]))
 
 
 def _cmd_verify_identity(args, prec, catalogue):
-    do_series = args.series or args.both or not (args.series or args.numeric)
-    do_numeric = args.numeric or args.both or not (args.series or args.numeric)
-    if do_series and args.series_order < 24:
+    both = args.both or not (args.series or args.numeric)
+    return _identity_checks(catalogue, args.id, prec, args.series or both,
+                            args.numeric or both, args.series_order, args.probes)
+
+
+def _identity_checks(catalogue, ident, prec, do_series, do_numeric,
+                     series_order, probe_text):
+    if do_series and series_order < 24:
         raise UsageError("--series-order must be at least 24")
     if do_numeric and prec.target_digits < 40:
         raise UsageError("--digits must be at least 40 for numeric checks")
-    custom = _parse_probes(args, prec)
+    custom = _parse_probes(probe_text)
     out = []
-    for rec in _identity_records(args, catalogue):
+    for rec in _identity_records(ident, catalogue):
         if do_numeric:
             probes = custom if custom is not None else default_probes(rec, prec)
             for label, q in probes:
@@ -244,8 +249,8 @@ def _cmd_verify_identity(args, prec, catalogue):
                                               + res.value.error_bound, 3),
                          "tolerance": _mpf_str(res.tolerance, 3)}))
         if do_series:
-            chk = verify_series(rec, args.series_order)
-            details = {"order": args.series_order}
+            chk = verify_series(rec, series_order)
+            details = {"order": series_order}
             if not chk.ok:
                 details["first_failure"] = chk.first_failure
             out.append(CheckRecord(
@@ -254,26 +259,26 @@ def _cmd_verify_identity(args, prec, catalogue):
     return out
 
 
-def _corollary_records(args, registry):
-    if args.id == "all":
+def _corollary_records(ident, registry):
+    if ident == "all":
         return list(registry)
-    parts = args.id.split("_")
+    parts = ident.split("_")
     known = [f"{r.kind}_{'_'.join(str(p) for p in r.params)}" for r in registry]
     if len(parts) >= 2 and parts[0] in ("g", "gg", "a", "b"):
         try:
             params = tuple(Fraction(p) for p in parts[1:])
         except (ValueError, ZeroDivisionError):
-            raise UsageError(f"unknown id {args.id!r}; known ids: "
+            raise UsageError(f"unknown id {ident!r}; known ids: "
                              + ", ".join(known))
         rec = registry_find(registry, parts[0], *params)
         if rec is not None:
             return [rec]
-    raise UsageError(f"unknown id {args.id!r}; known ids: " + ", ".join(known))
+    raise UsageError(f"unknown id {ident!r}; known ids: " + ", ".join(known))
 
 
-def _cmd_verify_corollary(args, prec, registry):
+def _corollary_checks(records, prec):
     out = []
-    for rec in _corollary_records(args, registry):
+    for rec in records:
         chk = verify_corollary(rec, prec)
         out.append(CheckRecord(
             f"{rec.label}", "corollary", chk.verdict,
@@ -282,8 +287,7 @@ def _cmd_verify_corollary(args, prec, registry):
     return out
 
 
-def _cmd_reproduce(args, prec, registry):
-    ids = reproduce_ids(registry) if args.id == "all" else [args.id]
+def _reproduce_checks(ids, prec, registry):
     out = []
     for pid in ids:
         try:
@@ -342,18 +346,10 @@ def _suite_invariant_checks(prec, registry):
 
 
 def _cmd_run_suite(args, prec, catalogue, registry):
-    class _IdentArgs:
-        id = "all"
-        series = False
-        numeric = False
-        both = True
-        series_order = args.series_order
-        probes = args.probes
-    out = _cmd_verify_identity(_IdentArgs, prec, catalogue)
-    class _AllArgs:
-        id = "all"
-    out += _cmd_verify_corollary(_AllArgs, prec, registry)
-    out += _cmd_reproduce(_AllArgs, prec, registry)
+    out = _identity_checks(catalogue, "all", prec, True, True,
+                           args.series_order, args.probes)
+    out += _corollary_checks(registry, prec)
+    out += _reproduce_checks(reproduce_ids(registry), prec, registry)
     out += _suite_invariant_checks(prec, registry)
     return out
 
@@ -377,9 +373,12 @@ def run(args) -> RunReport:
     elif args.command == "verify-identity":
         records = _cmd_verify_identity(args, prec, _load_catalogue(args))
     elif args.command == "verify-corollary":
-        records = _cmd_verify_corollary(args, prec, _load_registry(args))
+        registry = _load_registry(args)
+        records = _corollary_checks(_corollary_records(args.id, registry), prec)
     elif args.command == "reproduce":
-        records = _cmd_reproduce(args, prec, _load_registry(args))
+        registry = _load_registry(args)
+        ids = reproduce_ids(registry) if args.id == "all" else [args.id]
+        records = _reproduce_checks(ids, prec, registry)
     elif args.command == "run-suite":
         records = _cmd_run_suite(args, prec, _load_catalogue(args),
                                  _load_registry(args))

@@ -1,27 +1,42 @@
 """Recovering theta products from class invariants.
 
-For each family (indexed by an odd degree 3, 5, 7, or 13) the ratio and the
-product of the pair a(m, degree), b(4m, degree) satisfy two quadratics whose
-coefficients are polynomials in one invariant-built quantity lambda:
+For each family (indexed by an odd degree 3, 5, 7, or 13) the ratio
+x = a/b and the product y = a*b of the pair a = a(m, degree),
+b = b(4m, degree) satisfy two equations whose coefficients are polynomials
+in one invariant-built quantity lambda:
 
     degree 3:   lambda = (sqrt(2) g(3m) g(m/3))^3
     degree 5:   lambda = (g(5m) / g(m/5))^3
     degree 7:   lambda = (g(7m) / g(m/7))^2
     degree 13:  lambda =  g(13m) / g(m/13)
 
+The equations are derived, once per process, from the P-Q relations of the
+builtin catalogue, which the verifiers prove: rec5, rec7 and rec13 give the
+ratio side (degree 3 has the linear x - 1/x = lambda), and quad3, quad5,
+quad7 and quad13 the product side.  Each relation is a polynomial in
+W = (PQ)^k + (c/PQ)^k and V = (P/Q)^j + (Q/P)^j.  Putting V = i ell and
+W = +-i c^(k/2) z, with ell = lambda for degree 3 and lambda - 1/lambda
+otherwise, leaves a real equation of degree at most 2 in z, where
+z = x^(k/2) - x^(-k/2) on the ratio side and y^(-k/2) - y^(k/2) on the
+product side.
+
 lambda_value builds lambda from the cheapest available source (registry
 closed forms, one quad4_36 doubling step, or direct numeric invariants),
-solve_pair solves the quadratics with bootstrap-guided branch selection,
-and reproduce_corollary closes the loop against the registry closed form
-and the definitional theta-block evaluation.
+solve_pair solves both equations with bootstrap-guided branch selection
+and re-evaluates them at the recovered values, and reproduce_corollary
+closes the loop against the registry closed form and the definitional
+theta-block evaluation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import comb, gcd, isqrt
 
 from mpmath import mp, workdps
 
+from .catalogue import CatalogueError, find_record, load_builtin
 from .invariants import RootSelectionError, g_numeric, solve_companion
 from .precision import PrecisionError, PrecisionSpec, RealValue, digits_agreed
 from .products import a_numeric, b_numeric
@@ -32,7 +47,7 @@ from .radicals import (
     load_builtin_registry,
     registry_find,
 )
-from .verify import Residual, _normalized_residual, default_tolerance
+from .verify import Residual, default_tolerance, normalized_residual
 
 FAMILIES = {"n3": 3, "n5": 5, "n7": 7, "n13": 13}
 
@@ -148,6 +163,87 @@ def lambda_value(family: str, m, prec: PrecisionSpec,
 
 
 # ---------------------------------------------------------------------------
+# the family equations, derived from the catalogue
+# ---------------------------------------------------------------------------
+
+# family -> (ratio record, product record), each (catalogue id, c, sign);
+# c is a perfect square
+_RECORDS = {
+    "n3": (None, ("quad3", 9, -1)),
+    "n5": (("rec5", 1, 1), ("quad5", 25, -1)),
+    "n7": (("rec7", 1, -1), ("quad7", 49, 1)),
+    "n13": (("rec13", 1, -1), ("quad13", 169, 1)),
+}
+# n3's ratio side has no record: z - ell = 0 with z = x - 1/x
+_N3_RATIO = (2, (((0, 1), -1), ((1, 0), 1)))
+
+
+def _derive(rec, c: int, sign: int):
+    """(k, (((d, e), coefficient), ...)) for  sum coefficient z^d ell^e = 0:
+    the relation peeled, top term first, into sum r W^d V^e (A = PQ,
+    B = P/Q), then r W^d V^e -> r sign^d i^(d+e) c^(kd/2) z^d ell^e."""
+    def unfit(why):
+        return CatalogueError(f"identity {rec.id!r} does not give a family "
+                              f"equation: {why}")
+
+    # P^i Q^j = A^((i+j)/2) B^((i-j)/2); centre both exponents on their box
+    pts = {(i + j, i - j): coef for (i, j), coef in rec.relation_poly.terms.items()}
+    mid_a = min(s for s, _ in pts) + max(s for s, _ in pts)
+    mid_b = min(t for _, t in pts) + max(t for _, t in pts)
+    if any((2 * s - mid_a) % 4 or (2 * t - mid_b) % 4 for s, t in pts):
+        raise unfit("PQ or P/Q has a non-integral centred exponent")
+    terms = {((2 * s - mid_a) // 4, (2 * t - mid_b) // 4): coef
+             for (s, t), coef in pts.items()}
+    k = gcd(*(a for a, _ in terms))
+    j = gcd(*(b for _, b in terms)) or 1
+    if k == 0:
+        raise unfit("PQ does not occur")
+
+    lead = terms[max(terms)]
+    reduced = {}
+    while terms:
+        (a, b), top = max(terms.items())
+        d, e, r = a // k, b // j, top / lead
+        if d < 0 or e < 0:
+            raise unfit("not a polynomial in W and V")
+        if r.denominator != 1:
+            raise unfit(f"coefficient {r} of W^{d} V^{e} is not an integer")
+        if (d + e) % 2:
+            raise unfit(f"W^{d} V^{e} has odd total degree")
+        if d > 2:
+            raise unfit(f"degree {d} in W is above 2")
+        reduced[(d, e)] = int(r) * sign ** d * (-1) ** ((d + e) // 2) * isqrt(c) ** (k * d)
+        for u in range(d + 1):
+            for v in range(e + 1):
+                key = (k * (2 * u - d), j * (2 * v - e))
+                left = terms.get(key, 0) - top * comb(d, u) * comb(e, v) * c ** (k * (d - u))
+                if left:
+                    terms[key] = left
+                else:
+                    del terms[key]
+    return k, tuple(sorted(reduced.items()))
+
+
+@lru_cache(maxsize=None)
+def _equations() -> dict:
+    """family -> (ratio equation, product equation), from the builtin catalogue."""
+    recs = load_builtin()
+    return {family: tuple(_N3_RATIO if spec is None
+                          else _derive(find_record(recs, spec[0]), *spec[1:])
+                          for spec in specs)
+            for family, specs in _RECORDS.items()}
+
+
+def _z_coefficients(terms, ell: RealValue) -> list[RealValue]:
+    """[E_0, E_1, ...] with E_d = sum_e coefficient * ell^e."""
+    powers = {e: ell.powi(e) for (_, e), _ in terms}
+    out = [RealValue.exact(0)] * (max(d for (d, _), _ in terms) + 1)
+    for (d, e), r in terms:
+        out[d] = out[d] + RealValue.exact(r) * powers[e]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # quadratic solving
 # ---------------------------------------------------------------------------
 
@@ -155,12 +251,6 @@ def _positive_from_diff(d: RealValue) -> RealValue:
     # x - 1/x = d  with  x > 0
     two = RealValue.exact(2)
     return (d + (d * d + RealValue.exact(4)).sqrt()) / two
-
-
-def _positive_from_neg_diff(d: RealValue) -> RealValue:
-    # 1/y - y = d  with  y > 0
-    two = RealValue.exact(2)
-    return ((d * d + RealValue.exact(4)).sqrt() - d) / two
 
 
 def _solve_quadratic(qa: RealValue, qb: RealValue, qc: RealValue,
@@ -204,47 +294,11 @@ def _solve_quadratic(qa: RealValue, qb: RealValue, qc: RealValue,
     return cands[0]
 
 
-def _aux_coefficients(family: str, lam: RealValue):
-    """Coefficient triples (qa, qb, qc) of the two family quadratics, or the
-    directly known value when the family fixes the quantity outright."""
-    one = RealValue.exact(1)
-
-    if family == "n3":
-        # ratio side is linear: a/b - b/a = lambda itself
-        nine_lam = RealValue.exact(9) * lam
-        prod_diff = (lam.powi(4) + RealValue.exact(11) * lam.powi(2)
-                     - RealValue.exact(8)) / nine_lam
-        return ("direct", lam), ("direct", prod_diff)
-
-    ell = lam - one / lam
-    L = {k: ell.powi(k) for k in range(1, 13)}
-    c = RealValue.exact
-
-    if family == "n5":
-        ratio_eq = (one, L[1], c(-4))
-        prod_eq = (c(25), c(5) * (L[3] - c(6) * L[1]),
-                   L[4] - c(37) * L[2] - c(64))
-    elif family == "n7":
-        ratio_eq = (one, L[3] - c(5) * L[1], c(-8) * L[2])
-        prod_eq = (c(2401),
-                   c(49) * (L[9] - c(7) * L[7] - c(37) * L[5]
-                            + c(77) * L[3] + c(294) * L[1]),
-                   L[12] - c(20) * L[10] + c(86) * L[8] - c(2065) * L[6]
-                   - c(16317) * L[4] - c(22981) * L[2])
-    elif family == "n13":
-        ratio_eq = (one, L[3] - L[1], c(-4) * L[2] - c(4))
-        prod_eq = (c(169),
-                   c(13) * (L[9] + L[7] - c(21) * L[5] - c(35) * L[3]
-                            + c(30) * L[1]),
-                   L[12] - c(4) * L[10] - c(26) * L[8] - c(89) * L[6]
-                   - c(829) * L[4] - c(1821) * L[2] - c(576))
-    else:
-        raise AssertionError(family)
-    return ("quadratic",) + ratio_eq, ("quadratic",) + prod_eq
-
-
-# ratio-side auxiliaries use sqrt(a/b) in families 5 and 13, a/b elsewhere
-_SQRT_FAMILIES = ("n5", "n13")
+def _solve_z(eq: list[RealValue], boot, what: str) -> RealValue:
+    """Root of  sum_d eq[d] z^d = 0  (linear or quadratic) nearest boot."""
+    if len(eq) == 2:
+        return -eq[0] / eq[1]
+    return _solve_quadratic(eq[2], -eq[1], -eq[0], boot, what)
 
 
 def solve_pair(family: str, lam: LambdaValue, prec: PrecisionSpec,
@@ -276,34 +330,20 @@ def solve_pair(family: str, lam: LambdaValue, prec: PrecisionSpec,
 def _solve_pair_at(family: str, lam: LambdaValue, prec: PrecisionSpec,
                    a0, b0, inner_target: int) -> SolvedPair:
     inner = PrecisionSpec.of(inner_target, prec.guard_digits)
+    (kx, x_terms), (ky, y_terms) = _equations()[family]
+    one = RealValue.exact(1)
     with workdps(inner.working_digits):
-        x0 = mp.mpf(a0) / mp.mpf(b0)
-        y0 = mp.mpf(a0) * mp.mpf(b0)
-        ratio_spec, prod_spec = _aux_coefficients(family, lam.value)
-
-        if ratio_spec[0] == "direct":
-            ratio_diff = ratio_spec[1]
-        else:
-            boot = (mp.sqrt(x0) - 1 / mp.sqrt(x0)
-                    if family in _SQRT_FAMILIES else x0 - 1 / x0)
-            ratio_diff = _solve_quadratic(*ratio_spec[1:], boot,
-                                          f"{family} ratio quadratic")
-        if prod_spec[0] == "direct":
-            prod_diff = prod_spec[1]
-        else:
-            boot = (1 / mp.sqrt(y0) - mp.sqrt(y0)
-                    if family in _SQRT_FAMILIES else 1 / y0 - y0)
-            prod_diff = _solve_quadratic(*prod_spec[1:], boot,
-                                         f"{family} product quadratic")
-
-        half_ratio = _positive_from_diff(ratio_diff)
-        half_prod = _positive_from_neg_diff(prod_diff)
-        if family in _SQRT_FAMILIES:
-            ratio = half_ratio.powi(2)
-            product = half_prod.powi(2)
-        else:
-            ratio = half_ratio
-            product = half_prod
+        # the ratio side is in z = x^(kx/2) - x^(-kx/2) with x = a/b,
+        # the product side in z = y^(-ky/2) - y^(ky/2) with y = a*b
+        hx0 = mp.sqrt(mp.mpf(a0) / mp.mpf(b0)) ** kx
+        hy0 = mp.sqrt(mp.mpf(a0) * mp.mpf(b0)) ** ky
+        ell = lam.value if family == "n3" else lam.value - one / lam.value
+        x_eq = _z_coefficients(x_terms, ell)
+        y_eq = _z_coefficients(y_terms, ell)
+        x_z = _solve_z(x_eq, hx0 - 1 / hx0, f"{family} ratio quadratic")
+        y_z = _solve_z(y_eq, 1 / hy0 - hy0, f"{family} product quadratic")
+        ratio = _positive_from_diff(x_z).powf(Fraction(2, kx))
+        product = _positive_from_diff(-y_z).powf(Fraction(2, ky))
 
         a_val = (ratio * product).sqrt()
         b_val = (product / ratio).sqrt()
@@ -312,63 +352,20 @@ def _solve_pair_at(family: str, lam: LambdaValue, prec: PrecisionSpec,
                 f"{family} solution strayed from the bootstrap: "
                 f"{a_val.magnitude} vs {a0}", [a_val.magnitude, mp.mpf(a0)])
 
+        # both equations again, at the z rebuilt from the recovered values
+        hx = ratio.powf(Fraction(kx, 2))
+        hy = product.powf(Fraction(ky, 2))
         tol = default_tolerance(prec)
         residuals = tuple(
-            Residual.of(_normalized_residual(terms), tol)
-            for terms in _back_substitution(family, lam.value, ratio, product))
+            Residual.of(normalized_residual(
+                [coef * z.powi(d) for d, coef in enumerate(eq)]), tol)
+            for eq, z in ((x_eq, hx - one / hx), (y_eq, one / hy - hy)))
 
     for v in (a_val, b_val):
         if not v.meets(prec):
             raise PrecisionError(f"{family} solve at m={lam.m} missed "
                                  f"{prec.target_digits} digits")
     return SolvedPair(family, lam.m, a_val, b_val, ratio, product, residuals)
-
-
-def _back_substitution(family: str, lam: RealValue,
-                       ratio: RealValue, product: RealValue):
-    """Cleared-polynomial terms of both family relations, re-evaluated from
-    the recovered ratio and product; each list should sum to zero."""
-    one = RealValue.exact(1)
-    c = RealValue.exact
-    x, y = ratio, product
-
-    if family == "n3":
-        t1 = [x * x, -(lam * x), -one]
-        coeff = lam.powi(4) + c(11) * lam.powi(2) - c(8)
-        nine_lam = c(9) * lam
-        t2 = [nine_lam, -(nine_lam * y * y), -(coeff * y)]
-        return [t1, t2]
-
-    ell = lam - one / lam
-    L = {k: ell.powi(k) for k in range(1, 13)}
-    rx = x.sqrt()
-    s = rx - one / rx
-    ry = y.sqrt()
-    t = one / ry - ry
-    r = x - one / x
-    p = one / y - y
-
-    if family == "n5":
-        t1 = [s * s, -(L[1] * s), c(4)]
-        t2 = [c(25) * t * t, -(c(5) * (L[3] - c(6) * L[1]) * t),
-              -(L[4] - c(37) * L[2] - c(64))]
-    elif family == "n7":
-        t1 = [r * r, -((L[3] - c(5) * L[1]) * r), c(8) * L[2]]
-        t2 = [c(2401) * p * p,
-              -(c(49) * (L[9] - c(7) * L[7] - c(37) * L[5]
-                         + c(77) * L[3] + c(294) * L[1]) * p),
-              -(L[12] - c(20) * L[10] + c(86) * L[8] - c(2065) * L[6]
-                - c(16317) * L[4] - c(22981) * L[2])]
-    elif family == "n13":
-        t1 = [s * s, -((L[3] - L[1]) * s), c(4) * L[2] + c(4)]
-        t2 = [c(169) * t * t,
-              -(c(13) * (L[9] + L[7] - c(21) * L[5] - c(35) * L[3]
-                         + c(30) * L[1]) * t),
-              -(L[12] - c(4) * L[10] - c(26) * L[8] - c(89) * L[6]
-                - c(829) * L[4] - c(1821) * L[2] - c(576))]
-    else:
-        raise AssertionError(family)
-    return [t1, t2]
 
 
 # ---------------------------------------------------------------------------

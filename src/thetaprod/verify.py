@@ -61,7 +61,7 @@ def default_probes(rec: IdentityRecord, prec: PrecisionSpec):
 # numeric check
 # ---------------------------------------------------------------------------
 
-def _normalized_residual(terms: list[RealValue]) -> RealValue:
+def normalized_residual(terms: list[RealValue]) -> RealValue:
     total = terms[0]
     for t in terms[1:]:
         total = total + t
@@ -83,7 +83,7 @@ def verify_numeric(rec: IdentityRecord, q, prec: PrecisionSpec) -> Residual:
         terms = []
         for (i, j), c in sorted(rec.relation_poly.terms.items()):
             terms.append(RealValue.from_fraction(c) * pval.powi(i) * qval.powi(j))
-        residual = _normalized_residual(terms)
+        residual = normalized_residual(terms)
     return Residual.of(residual, default_tolerance(prec))
 
 
@@ -179,7 +179,7 @@ def verify_multiplier13(q, prec: PrecisionSpec) -> Residual:
                      -((one - top) / (one - bot)).powf(quarter),
                      mixed.powf(quarter),
                      RealValue.exact(4) * mixed.powf(sixth)]
-            return _normalized_residual(terms)
+            return normalized_residual(terms)
 
         r1 = side(mult, beta, alpha)
         r2 = side(RealValue.exact(13) / mult, alpha, beta)

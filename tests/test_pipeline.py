@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from mpmath import mp, workdps
 
+from thetaprod import pipeline
+from thetaprod.catalogue import CatalogueError, find_record, load_builtin, parse_catalogue
 from thetaprod.invariants import RootSelectionError
 from thetaprod.pipeline import (
     LambdaValue,
@@ -144,7 +147,8 @@ def test_reproduce_ids_cover_all_products():
         assert pid in ids
 
 
-@pytest.mark.parametrize("pid", ["a_2_3", "a_10_3", "a_6_13", "b_24_13"])
+@pytest.mark.parametrize("pid", ["a_2_3", "a_10_3", "a_2_5", "a_4_7",
+                                 "a_6_13", "b_24_13"])
 def test_reproduce_three_way_agreement(pid):
     rep = reproduce_corollary(pid, P60)
     assert rep.passed
@@ -172,3 +176,39 @@ def test_reproduce_detects_corrupted_registry():
     # the solved and definitional values still agree; only the forged
     # closed form is off
     assert rep.agreement["solved_vs_definitional"] >= 60
+
+
+# ---------------------------------------------------------------------------
+# the family equations come from the catalogue
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def edited_catalogue(monkeypatch):
+    """Point the pipeline at the builtin catalogue text with one edit."""
+    text = resources.files("thetaprod").joinpath("data/catalogue.txt").read_text()
+
+    def use(old, new):
+        assert text.count(old) == 1
+        edited = parse_catalogue(text.replace(old, new))
+        monkeypatch.setattr(pipeline, "load_builtin", lambda: edited)
+        pipeline._equations.cache_clear()
+    yield use
+    pipeline._equations.cache_clear()
+
+
+def test_pipeline_solves_the_catalogue_relations(edited_catalogue):
+    # quad7 with one constant off by one: the pipeline must notice
+    edited_catalogue("16317*", "16318*")
+    try:
+        rep = reproduce_corollary("a_2_7", P60)
+    except RootSelectionError:
+        return
+    assert not rep.passed
+
+
+def test_relation_outside_w_v_shape_is_rejected(edited_catalogue):
+    with pytest.raises(CatalogueError, match="'e24'.*non-integral centred exponent"):
+        pipeline._derive(find_record(load_builtin(), "e24"), 1, 1)
+    edited_catalogue("16317*", "16317/2*")
+    with pytest.raises(CatalogueError, match="'quad7'.*not an integer"):
+        reproduce_corollary("a_2_7", P60)

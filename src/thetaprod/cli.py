@@ -21,7 +21,7 @@ from .catalogue import CatalogueError, find_record, load_builtin, parse_catalogu
 from .invariants import G_numeric, RootSelectionError, g_numeric, solve_companion
 from .pipeline import reproduce_corollary, reproduce_ids
 from .precision import PrecisionError, PrecisionSpec, digits_agreed
-from .products import a_numeric, b_numeric
+from .products import CrossFormError, a_numeric, b_numeric
 from .radicals import (
     RadicalError,
     eval_radical,
@@ -403,7 +403,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (PrecisionError, RootSelectionError) as exc:
+    except (PrecisionError, RootSelectionError, CrossFormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL_EXIT
     print(report.to_json() if args.json else render_text(report))

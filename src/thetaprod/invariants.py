@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from mpmath import mp, workdps
 
-from .blocks import _eval_block_raw, nome
+from .blocks import block_value, nome_value
 from .precision import PrecisionSpec, RealValue, compute_checked
 from .radicals import CorollaryRecord, load_builtin_registry, registry_find
 
@@ -33,7 +33,6 @@ class InvariantValue:
     kind: str                 # "g" or "G"
     n: Fraction
     value: RealValue
-    closed_form: CorollaryRecord | None
 
 
 def _invariant(kind: str, n, prec: PrecisionSpec) -> InvariantValue:
@@ -43,12 +42,11 @@ def _invariant(kind: str, n, prec: PrecisionSpec) -> InvariantValue:
     block = "chi_minus" if kind == "g" else "chi_plus"
 
     def build():
-        q = nome(n, 1, prec).q
+        q = nome_value(n)
         scale = RealValue.exact(2).powf(Fraction(-1, 4))
-        return scale * q.powf(Fraction(-1, 24)) * _eval_block_raw(block, 1, q)
+        return scale * q.powf(Fraction(-1, 24)) * block_value(block, 1, q)
 
-    value = compute_checked(prec, build)
-    return InvariantValue(kind, n, value, registry_lookup(kind, n))
+    return InvariantValue(kind, n, compute_checked(prec, build))
 
 
 def g_numeric(n, prec: PrecisionSpec) -> InvariantValue:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from mpmath import workdps
 
-from .blocks import _sum_block, nome
+from .blocks import block_value, nome
 from .precision import PrecisionSpec, RealValue, digits_agreed
 
 A_FORMS = ("psi_phi_even", "psi_phi_twisted", "euler_quotient")
@@ -43,26 +43,26 @@ def _form_value(which: str, form: str, n: Fraction, q: RealValue) -> RealValue:
     qn = q.powf(n)
     prefactor = RealValue.from_fraction(n) * q.powf((n - 1) / 4)
     if form == "psi_phi_even":
-        num = _sum_block("psi_plus", qn).powi(2) * _sum_block("phi_minus", qn.powi(2)).powi(2)
-        den = _sum_block("psi_plus", q).powi(2) * _sum_block("phi_minus", q.powi(2)).powi(2)
+        num = block_value("psi_plus", 1, qn).powi(2) * block_value("phi_minus", 2, qn).powi(2)
+        den = block_value("psi_plus", 1, q).powi(2) * block_value("phi_minus", 2, q).powi(2)
         return prefactor * num / den
     if form == "psi_phi_twisted":
-        num = _sum_block("psi_minus", qn).powi(2) * _sum_block("phi_plus", qn).powi(2)
-        den = _sum_block("psi_minus", q).powi(2) * _sum_block("phi_plus", q).powi(2)
+        num = block_value("psi_minus", 1, qn).powi(2) * block_value("phi_plus", 1, qn).powi(2)
+        den = block_value("psi_minus", 1, q).powi(2) * block_value("phi_plus", 1, q).powi(2)
         return prefactor * num / den
     if form == "psi_phi_odd":
-        num = _sum_block("psi_plus", qn).powi(2) * _sum_block("phi_minus", qn).powi(2)
-        den = _sum_block("psi_plus", q).powi(2) * _sum_block("phi_minus", q).powi(2)
+        num = block_value("psi_plus", 1, qn).powi(2) * block_value("phi_minus", 1, qn).powi(2)
+        den = block_value("psi_plus", 1, q).powi(2) * block_value("phi_minus", 1, q).powi(2)
         return prefactor * num / den
     if form == "euler_quotient":
         # sqrt(n/value) expressed through f-blocks; value = n / (quotient)^2
         shift = q.powf((n - 1) / 8)
         if which == "a":
-            num = _sum_block("f_plus", q) * _sum_block("f_minus", q.powi(2))
-            den = shift * _sum_block("f_plus", qn) * _sum_block("f_minus", qn.powi(2))
+            num = block_value("f_plus", 1, q) * block_value("f_minus", 2, q)
+            den = shift * block_value("f_plus", 1, qn) * block_value("f_minus", 2, qn)
         else:
-            num = _sum_block("f_minus", q) * _sum_block("f_minus", q.powi(2))
-            den = shift * _sum_block("f_minus", qn) * _sum_block("f_minus", qn.powi(2))
+            num = block_value("f_minus", 1, q) * block_value("f_minus", 2, q)
+            den = shift * block_value("f_minus", 1, qn) * block_value("f_minus", 2, qn)
         root = num / den
         return RealValue.from_fraction(n) / root.powi(2)
     raise ValueError(f"unknown form {form!r}")

@@ -249,72 +249,72 @@ def scale_argument(a: PowerSeries, k: int) -> PowerSeries:
 
 
 # ------------------------------------------------------------ theta-block series
+#
+# The term rules of the theta blocks, written once: each generator yields
+# (n, c, next n) for the q-expansion sum c q^n of its block in increasing n,
+# where next n is the exponent of the following term.  The exact series below
+# cut these streams at their order; blocks.py sums them numerically.
 
-def _f_plus_sign(n: int) -> int:
-    # f(q) = chi(q) f(-q^2) expands over generalized pentagonal exponents with
-    # sign (-1)^(n(n-1)/2), period + + - - in n mod 4
-    return -1 if (n * (n - 1) // 2) % 2 else 1
+def f_terms(sign: str):
+    """f(-q) (sign="minus", Euler product (q;q)_inf, coefficient (-1)^j) or
+    f(q) (sign="plus", coefficient (-1)^(j(j-1)/2)) over the generalized
+    pentagonal exponents j(3j-1)/2, j = 0, 1, -1, 2, -2, ..."""
+    j = 0
+    while True:
+        nxt = -j if j > 0 else 1 - j
+        c = -1 if (j if sign == "minus" else j * (j - 1) // 2) % 2 else 1
+        yield j * (3 * j - 1) // 2, c, nxt * (3 * nxt - 1) // 2
+        j = nxt
 
 
-def series_f(k: int, sign: str, order: int) -> PowerSeries:
-    """Series of f(-q^k) (sign="minus", Euler product (q^k;q^k)_inf with
-    coefficients (-1)^n) or f(q^k) (sign="plus", coefficients
-    (-1)^(n(n-1)/2)), both supported on exponents 24*k*n(3n-1)/2."""
-    if k < 1:
-        raise ValueError("series_f requires k >= 1")
+def phi_terms(sign: str):
+    """phi(+-q) = 1 + 2 sum_{j>=1} (+-1)^j q^(j^2)."""
+    yield 0, 1, 1
+    j = 1
+    while True:
+        yield j * j, 2 if sign == "plus" or j % 2 == 0 else -2, (j + 1) * (j + 1)
+        j += 1
+
+
+def psi_terms(sign: str):
+    """psi(+-q) = sum_{j>=0} (+-1)^(j(j+1)/2) q^(j(j+1)/2)."""
+    t, j = 0, 0
+    while True:
+        nxt = t + j + 1
+        yield t, -1 if sign == "minus" and t % 2 else 1, nxt
+        t, j = nxt, j + 1
+
+
+def _cut(terms, k: int, sign: str, order: int) -> PowerSeries:
+    """The stream at argument q^k, cut at its first exponent beyond order."""
     if sign not in ("plus", "minus"):
         raise ValueError(f"unknown sign {sign!r}")
     if order < 0:
         raise ValueError("order must be >= 0")
     coeffs: dict[int, Fraction] = {}
-    n = 0
-    while True:
-        placed = False
-        for idx in (n, -n) if n else (0,):
-            e = LATTICE * k * (idx * (3 * idx - 1) // 2)
-            if e <= order:
-                placed = True
-                if sign == "minus":
-                    coeffs[e] = Fraction(-1 if idx % 2 else 1)
-                else:
-                    coeffs[e] = Fraction(_f_plus_sign(idx))
-        if not placed and n > 0:
+    for n, c, _ in terms(sign):
+        if LATTICE * k * n > order:
             break
-        n += 1
+        coeffs[LATTICE * k * n] = Fraction(c)
     return PowerSeries(coeffs, order)
+
+
+def series_f(k: int, sign: str, order: int) -> PowerSeries:
+    """Series of f(-q^k) (sign="minus") or f(q^k) (sign="plus"), supported on
+    exponents 24*k*j(3j-1)/2."""
+    if k < 1:
+        raise ValueError("series_f requires k >= 1")
+    return _cut(f_terms, k, sign, order)
 
 
 def series_phi(sign: str, order: int) -> PowerSeries:
     """phi(+-q) = 1 + 2 sum_{n>=1} (+-1)^n q^(n^2)."""
-    if sign not in ("plus", "minus"):
-        raise ValueError(f"unknown sign {sign!r}")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    coeffs: dict[int, Fraction] = {0: Fraction(1)}
-    n = 1
-    while LATTICE * n * n <= order:
-        c = 2 if sign == "plus" or n % 2 == 0 else -2
-        coeffs[LATTICE * n * n] = Fraction(c)
-        n += 1
-    return PowerSeries(coeffs, order)
+    return _cut(phi_terms, 1, sign, order)
 
 
 def series_psi(sign: str, order: int) -> PowerSeries:
     """psi(+-q) = sum_{n>=0} (+-1)^(n(n+1)/2) q^(n(n+1)/2)."""
-    if sign not in ("plus", "minus"):
-        raise ValueError(f"unknown sign {sign!r}")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    coeffs: dict[int, Fraction] = {}
-    n = 0
-    while True:
-        t = n * (n + 1) // 2
-        e = LATTICE * t
-        if e > order:
-            break
-        coeffs[e] = Fraction(-1 if sign == "minus" and t % 2 else 1)
-        n += 1
-    return PowerSeries(coeffs, order)
+    return _cut(psi_terms, 1, sign, order)
 
 
 # ------------------------------------------------------------------- self-check

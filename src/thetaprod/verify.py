@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, workdps
 
-from .blocks import _eval_block_raw, _eval_quotient_raw, nome
+from .blocks import block_value, nome, quotient_value
 from .catalogue import IdentityRecord
 from .precision import PrecisionSpec, RealValue
 from .series import PowerSeries, SeriesCheck, mul, pow_int, scalar_mul
@@ -78,8 +78,8 @@ def verify_numeric(rec: IdentityRecord, q, prec: PrecisionSpec) -> Residual:
     if not (0 < q.magnitude < 1):
         raise ValueError("probe must satisfy 0 < q < 1")
     with workdps(prec.working_digits):
-        pval = _eval_quotient_raw(rec.p_expr, q)
-        qval = _eval_quotient_raw(rec.q_expr, q)
+        pval = quotient_value(rec.p_expr, q)
+        qval = quotient_value(rec.q_expr, q)
         terms = []
         for (i, j), c in sorted(rec.relation_poly.terms.items()):
             terms.append(RealValue.from_fraction(c) * pval.powi(i) * qval.powi(j))
@@ -164,10 +164,10 @@ def verify_multiplier13(q, prec: PrecisionSpec) -> Residual:
     quarter, sixth = Fraction(1, 4), Fraction(1, 6)
     one = RealValue.exact(1)
     with workdps(prec.working_digits):
-        phi_p1 = _eval_block_raw("phi_plus", 1, q)
-        phi_m1 = _eval_block_raw("phi_minus", 1, q)
-        phi_p13 = _eval_block_raw("phi_plus", 13, q)
-        phi_m13 = _eval_block_raw("phi_minus", 13, q)
+        phi_p1 = block_value("phi_plus", 1, q)
+        phi_m1 = block_value("phi_minus", 1, q)
+        phi_p13 = block_value("phi_plus", 13, q)
+        phi_m13 = block_value("phi_minus", 13, q)
         alpha = one - (phi_m1 / phi_p1).powi(4)
         beta = one - (phi_m13 / phi_p13).powi(4)
         mult = (phi_p1 / phi_p13).powi(2)

@@ -89,6 +89,14 @@ def test_eval_nome_square_value(capsys):
         assert abs(mp.mpf(value) - mp.exp(-2 * mp.pi)) < mp.mpf("1e-38")
 
 
+def test_cross_form_disagreement_is_an_error(capsys):
+    # at q = exp(-pi/sqrt(15000)) the two b forms agree to only 8 digits
+    code, out, err = run_cli(capsys, "eval-b", "1/3000", "5", "--digits", "30")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: b(1/3000,5) forms agree to only 8 digits")
+
+
 def test_eval_rejects_nonsense_arguments(capsys):
     code, _, err = run_cli(capsys, "eval-a", "zebra", "3")
     assert code == 2

@@ -44,7 +44,6 @@ def test_g1_and_G1_classical_values():
 def test_g_matches_registry_closed_form(n):
     with workdps(P60.working_digits):
         inv = g_numeric(n, P60)
-        assert inv.closed_form is not None
         assert digits_agreed(inv.value.magnitude, closed(n).magnitude) >= 60
 
 
@@ -62,8 +61,16 @@ def test_invariant_value_fields():
     assert inv.kind == "g"
     assert inv.n == 30
     assert inv.value.meets(P60)
-    miss = g_numeric(7, P60)
-    assert miss.closed_form is None
+
+
+def test_invariant_runs_in_one_precision_context(monkeypatch):
+    # the nome and the block are built inside the invariant's own
+    # compute_checked, so an escalation of it also widens them
+    def refuse(spec, builder):
+        raise AssertionError("nested compute_checked")
+    monkeypatch.setattr("thetaprod.blocks.compute_checked", refuse)
+    assert g_numeric(30, P60).value.meets(P60)
+    assert G_numeric(5, P60).value.meets(P60)
 
 
 def test_rejects_nonpositive_argument():

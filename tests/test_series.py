@@ -3,6 +3,7 @@ ring laws, and truncation soundness."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,9 +14,12 @@ from thetaprod.series import (
     add,
     add_scalar,
     check_entry24,
+    f_terms,
     invert,
     mul,
+    phi_terms,
     pow_int,
+    psi_terms,
     scalar_mul,
     scale_argument,
     series_f,
@@ -112,6 +116,17 @@ def test_phi_psi_displays():
     assert series_psi("minus", 24 * 10).coeffs == {
         0: Fraction(1), 24: Fraction(-1), 72: Fraction(-1),
         144: Fraction(1), 240: Fraction(1)}
+
+
+@pytest.mark.parametrize("terms", [f_terms, phi_terms, psi_terms])
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_term_streams_announce_their_next_exponent(terms, sign):
+    # the numeric sums bound their tail by the third field, the exponent of
+    # the first term they did not add
+    items = list(islice(terms(sign), 200))
+    assert items[0][0] == 0
+    for (n, _, nxt), (later, _, _) in zip(items, items[1:]):
+        assert n < later == nxt
 
 
 def test_constructor_validation():

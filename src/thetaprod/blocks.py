@@ -5,16 +5,29 @@ Every sparse series here has integer exponents g(n) that grow quadratically
 and coefficients bounded by 2 in absolute value, so for 0 < x < 1 the tail
 after the n-th retained term is at most  c * x^(g(n+1)) / (1 - x).  That
 bound is added to the returned error estimate rather than assumed away.
+
+No power is raised from scratch.  A term's x^g is the previous term's power
+times the gap power x^(g - g_prev), and a gap power not yet formed in the
+sum is the product of two that are (x^a * x^(d-a), a the largest gap formed
+so far).  So each x^g is a chain of at most g + count rounded products, and
+the rounding allowance charges every term that many units of 10^(2 - dps):
+
+    (sum |c| g x^g + (count + 2) * sum |c| x^g) * 10^(2 - dps).
+
+It is charged against sum |c| x^g, not against the sum itself, so it stays
+an enclosure when an alternating sum cancels far below its terms, as
+f(-x), phi(-x) and psi(-x) do for x near 1.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
 
 from .precision import (PrecisionError, PrecisionSpec, RealValue,
-                        compute_checked, rv_exp, rv_pi)
+                        compute_checked, rounding_unit, rv_exp, rv_pi)
 from .quotient import EtaQuotient
 from .series import PowerSeries, f_terms, phi_terms, psi_terms
 
@@ -51,6 +64,24 @@ def nome(m, n, prec: PrecisionSpec) -> Nome:
 _terms_f, _terms_phi, _terms_psi = f_terms, phi_terms, psi_terms
 
 
+# 10^-(dps - 3) per working precision: a term below it ends a sum
+_CUTOFFS: dict[int, mpf] = {}
+
+
+def _gap_power(gaps: dict[int, mpf], known: list[int], d: int) -> mpf:
+    """x^d, given gaps = {e: x^e} holding x^1 and known = its sorted keys.
+
+    A new x^d is x^a * x^(d-a) for the largest known a < d, and is kept.
+    The streams' gaps grow by 1 or 2, so d - a is almost always known.
+    """
+    p = gaps.get(d)
+    if p is None:
+        a = known[bisect_left(known, d) - 1]
+        p = gaps[d] = gaps[a] * _gap_power(gaps, known, d - a)
+        insort(known, d)
+    return p
+
+
 def _sum_block(kind: str, x: RealValue) -> RealValue:
     """Sum one primitive block at argument x, 0 < x < 1, at current mp.dps."""
     if kind in ("f_minus", "f_plus"):
@@ -61,24 +92,33 @@ def _sum_block(kind: str, x: RealValue) -> RealValue:
         terms, cbound = _terms_psi(kind.split("_")[1]), 1
 
     xm = x.magnitude
-    cutoff = mpf(10) ** (-(mp.dps - 3))
+    cutoff = _CUTOFFS.get(mp.prec)
+    if cutoff is None:
+        cutoff = _CUTOFFS[mp.prec] = mpf(10) ** (-(mp.dps - 3))
+    gaps, known = {1: xm}, [1]
     total = mpf(0)
-    deriv = mpf(0)          # sum of |c| * g * x^(g-1), for the dS/dx bound
-    next_exp = 0
+    absolute = mpf(0)       # sum of |c| * x^g
+    weighted = mpf(0)       # sum of |c| * g * x^g
+    g_prev, p = 0, mpf(1)
     count = 0
     for g, c, nxt in terms:
-        p = xm ** g
+        if g != g_prev:
+            p, g_prev = p * _gap_power(gaps, known, g - g_prev), g
         total += c * p
-        if g > 0:
-            deriv += abs(c) * g * (p / xm)
+        term = abs(c) * p
+        absolute += term
+        weighted += g * term
         count += 1
-        next_exp = nxt
         if p < cutoff and g > 0:
             break
         if count > 100000:
             raise PrecisionError("theta sum failed to converge")
-    tail = cbound * xm ** next_exp / (1 - xm)
-    err = tail + deriv * x.error_bound + (count + 2) * abs(total) * mpf(10) ** (2 - mp.dps)
+    tail = cbound * p * _gap_power(gaps, known, nxt - g) / (1 - xm)
+    # weighted / xm is the sum of |c| * g * x^(g-1), which bounds dS/dx.  Each
+    # x^g is a chain of at most g + count rounded products, and the running
+    # sum rounds count times, each against at most the sum of |c| * x^g.
+    err = (tail + weighted / xm * x.error_bound
+           + (weighted + (count + 2) * absolute) * rounding_unit())
     return RealValue(total, err)
 
 

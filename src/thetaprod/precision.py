@@ -50,9 +50,20 @@ class PrecisionSpec:
         return PrecisionSpec(self.target_digits, 2 * self.guard_digits + 10)
 
 
+_UNITS: dict[int, mpf] = {}
+
+
+def rounding_unit() -> mpf:
+    """10^(2 - mp.dps): one conservative unit of relative rounding at the
+    active precision, formed once per precision and then looked up."""
+    unit = _UNITS.get(mp.prec)
+    if unit is None:
+        unit = _UNITS[mp.prec] = mpf(10) ** (2 - mp.dps)
+    return unit
+
+
 def _rounding(x) -> mpf:
-    # one conservative unit of relative rounding at the active precision
-    return abs(x) * mpf(10) ** (2 - mp.dps)
+    return abs(x) * rounding_unit()
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 Both products live at the nome q = exp(-pi*sqrt(m/n)).  Each admits several
 classically equivalent theta-block forms; every public evaluation computes
-all applicable forms and insists they agree to target precision.  A
-disagreement can only mean a transcription or evaluation bug, so it is a
+all applicable forms and insists they agree to target precision.  The nome
+and the forms are computed in one compute_checked call, which widens the
+working precision until every form meets the budget; a disagreement left
+after that can only mean a transcription or evaluation bug, so it is a
 hard error rather than a warning.
 
 Form labels:
@@ -17,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import workdps
-
-from .blocks import block_value, nome
-from .precision import PrecisionSpec, RealValue, digits_agreed
+from .blocks import block_value, nome_value
+from .precision import PrecisionSpec, RealValue, compute_checked, digits_agreed
 
 A_FORMS = ("psi_phi_even", "psi_phi_twisted", "euler_quotient")
 B_FORMS = ("psi_phi_odd", "euler_quotient")
@@ -73,16 +73,25 @@ def _evaluate(which: str, m, n, prec: PrecisionSpec) -> ProductValue:
     if m <= 0 or n <= 0:
         raise ValueError("product parameters must be positive")
     forms = A_FORMS if which == "a" else B_FORMS
-    q = nome(m, n, prec).q
-    with workdps(prec.working_digits):
+    accepted = []       # the forms' values and agreement at the last attempt
+
+    def build() -> RealValue:
+        q = nome_value(m / n)
         values = [_form_value(which, form, n, q) for form in forms]
         agreement = min(digits_agreed(x, values[0]) for x in values[1:])
-        if agreement < prec.target_digits:
-            raise CrossFormError(
-                f"{which}({m},{n}) forms agree to only {agreement} digits "
-                f"(target {prec.target_digits}); "
-                + "; ".join(f"{f}={v.magnitude}" for f, v in zip(forms, values)))
-        best = min(values, key=lambda v: v.error_bound)
+        accepted[:] = [values, agreement]
+        # the form furthest from its budget decides whether to escalate, so
+        # every form meets it on the accepted attempt
+        return max(values, key=lambda v: v.error_bound / max(1, abs(v.magnitude)))
+
+    compute_checked(prec, build)
+    values, agreement = accepted
+    if agreement < prec.target_digits:
+        raise CrossFormError(
+            f"{which}({m},{n}) forms agree to only {agreement} digits "
+            f"(target {prec.target_digits}); "
+            + "; ".join(f"{f}={v.magnitude}" for f, v in zip(forms, values)))
+    best = min(values, key=lambda v: v.error_bound)
     return ProductValue(m, n, which, best, forms)
 
 

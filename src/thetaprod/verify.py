@@ -7,6 +7,7 @@ lattice and asserting every coefficient cancels up to a sound order.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,6 +58,14 @@ def default_probes(rec: IdentityRecord, prec: PrecisionSpec):
     return probes
 
 
+def _power_table(base, top: int, times) -> dict:
+    """base^1 .. base^top, each formed from the one before by times()."""
+    table = {1: base}
+    for i in range(2, top + 1):
+        table[i] = times(table[i - 1], base)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # numeric check
 # ---------------------------------------------------------------------------
@@ -78,11 +87,19 @@ def verify_numeric(rec: IdentityRecord, q, prec: PrecisionSpec) -> Residual:
     if not (0 < q.magnitude < 1):
         raise ValueError("probe must satisfy 0 < q < 1")
     with workdps(prec.working_digits):
-        pval = quotient_value(rec.p_expr, q)
-        qval = quotient_value(rec.q_expr, q)
+        monomials = sorted(rec.relation_poly.terms.items())
+        p_pows = _power_table(quotient_value(rec.p_expr, q),
+                              max(i for (i, _), _ in monomials), operator.mul)
+        q_pows = _power_table(quotient_value(rec.q_expr, q),
+                              max(j for (_, j), _ in monomials), operator.mul)
         terms = []
-        for (i, j), c in sorted(rec.relation_poly.terms.items()):
-            terms.append(RealValue.from_fraction(c) * pval.powi(i) * qval.powi(j))
+        for (i, j), c in monomials:
+            term = RealValue.from_fraction(c)
+            if i:
+                term = term * p_pows[i]
+            if j:
+                term = term * q_pows[j]
+            terms.append(term)
         residual = normalized_residual(terms)
     return Residual.of(residual, default_tolerance(prec))
 
@@ -90,13 +107,6 @@ def verify_numeric(rec: IdentityRecord, q, prec: PrecisionSpec) -> Residual:
 # ---------------------------------------------------------------------------
 # exact-series check
 # ---------------------------------------------------------------------------
-
-def _power_table(base: PowerSeries, top: int) -> dict[int, PowerSeries]:
-    table = {1: base}
-    for i in range(2, top + 1):
-        table[i] = mul(table[i - 1], base)
-    return table
-
 
 def verify_series(rec: IdentityRecord, order: int) -> SeriesCheck:
     """Expand the cleared relation to the requested lattice order; every
@@ -118,8 +128,8 @@ def verify_series(rec: IdentityRecord, order: int) -> SeriesCheck:
     p_top = max((i for (i, _), _ in monomials), default=0)
     q_top = max((j for (_, j), _ in monomials), default=0)
 
-    p_pows = _power_table(rec.p_expr.to_series(max(need_p)), p_top) if need_p else {}
-    q_pows = _power_table(rec.q_expr.to_series(max(need_q)), q_top) if need_q else {}
+    p_pows = _power_table(rec.p_expr.to_series(max(need_p)), p_top, mul) if need_p else {}
+    q_pows = _power_table(rec.q_expr.to_series(max(need_q)), q_top, mul) if need_q else {}
 
     acc = PowerSeries.zero(order)
     for (i, j), c in monomials:

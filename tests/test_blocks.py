@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, workdps
 
-from thetaprod.blocks import (BLOCK_KINDS, Nome, eval_block, eval_eta_quotient,
-                              eval_series_at, nome)
+from thetaprod.blocks import (BLOCK_KINDS, Nome, _sum_block, eval_block,
+                              eval_eta_quotient, eval_series_at, nome)
 from thetaprod.precision import PrecisionSpec, RealValue, digits_agreed
 from thetaprod.quotient import EtaQuotient
 from thetaprod.series import mul, series_f, series_phi, series_psi
@@ -161,6 +161,35 @@ def test_block_propagates_input_error():
     got = eval_block("phi_plus", 1, fuzzy, PrecisionSpec(20, 15))
     # d(phi)/dq at 0.2 is about 2, so the input error must survive in the bound
     assert got.error_bound >= mpf("1e-30")
+
+
+# the primitive blocks from mpmath's q-Pochhammer symbol and Jacobi theta
+# function, independent of the term streams _sum_block draws on
+MPMATH_BLOCKS = {
+    "f_minus": lambda x: mp.qp(x),
+    "f_plus": lambda x: mp.qp(-x, -x),
+    "phi_plus": lambda x: mp.jtheta(3, 0, x),
+    "phi_minus": lambda x: mp.jtheta(3, 0, -x),
+    "psi_plus": lambda x: mp.qp(x ** 2, x ** 2) / mp.qp(x, x ** 2),
+    "psi_minus": lambda x: mp.qp(x ** 2, x ** 2) / mp.qp(-x, x ** 2),
+}
+
+
+@pytest.mark.parametrize("kind", MPMATH_BLOCKS)
+@pytest.mark.parametrize("digits,x", [
+    *((d, x) for d in (30, 200)
+      for x in ("1/100", "1/4", "7/10", "95/100", "99/100")),
+    (1000, "1/100"), (1000, "1/4"),
+])
+def test_sum_block_encloses_mpmath_value(kind, digits, x):
+    # near x = 1 the alternating blocks cancel to far below 1, so the bound
+    # must cover the rounding of summands much larger than the sum
+    x = Fraction(x)
+    with workdps(digits):
+        got = _sum_block(kind, RealValue.from_fraction(x))
+    with workdps(digits + 50):
+        want = MPMATH_BLOCKS[kind](mpf(x.numerator) / x.denominator)
+        assert abs(got.magnitude - want) <= got.error_bound
 
 
 # ---------------------------------------------------------------------------

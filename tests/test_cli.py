@@ -8,8 +8,9 @@ import sys
 import pytest
 from mpmath import mp, workdps
 
+from thetaprod import products
 from thetaprod.cli import main
-from thetaprod.precision import PrecisionSpec
+from thetaprod.precision import PrecisionSpec, RealValue
 from thetaprod.radicals import load_builtin_registry
 from thetaprod.report import CheckRecord, RunReport, render_text
 
@@ -89,12 +90,42 @@ def test_eval_nome_square_value(capsys):
         assert abs(mp.mpf(value) - mp.exp(-2 * mp.pi)) < mp.mpf("1e-38")
 
 
-def test_cross_form_disagreement_is_an_error(capsys):
-    # at q = exp(-pi/sqrt(15000)) the two b forms agree to only 8 digits
-    code, out, err = run_cli(capsys, "eval-b", "1/3000", "5", "--digits", "30")
+def test_eval_b_escalates_near_the_cusp(capsys):
+    # at q = exp(-pi/sqrt(15000)) the two b forms need more working digits
+    # than the default guard gives; the evaluation widens it and succeeds
+    code, out, _ = run_cli(capsys, "eval-b", "1/3000", "5", "--digits", "30",
+                           "--json")
+    assert code == 0
+    value = json.loads(out)["checks"][0]["details"]["value"]
+    # phi(-q) is near 4e-41 here, so jtheta needs the extra digits
+    with workdps(100):
+        q = mp.exp(-mp.pi / mp.sqrt(15000))
+
+        def psi(x):
+            return mp.qp(x ** 2, x ** 2) / mp.qp(x, x ** 2)
+
+        def phi_minus(x):
+            return mp.jtheta(3, 0, -x)
+
+        want = (5 * q * psi(q ** 5) ** 2 * phi_minus(q ** 5) ** 2
+                / (psi(q) ** 2 * phi_minus(q) ** 2))
+        assert abs(mp.mpf(value) / want - 1) < mp.mpf("1e-29")
+
+
+def test_cross_form_disagreement_is_an_error(capsys, monkeypatch):
+    form_value = products._form_value
+
+    def one_form_off(which, form, n, q):
+        value = form_value(which, form, n, q)
+        if form == "euler_quotient":
+            value = value * RealValue.exact(mp.mpf("1.000000000001"))
+        return value
+
+    monkeypatch.setattr(products, "_form_value", one_form_off)
+    code, out, err = run_cli(capsys, "eval-b", "8", "13", "--digits", "30")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: b(1/3000,5) forms agree to only 8 digits")
+    assert err.startswith("error: b(8,13) forms agree to only ")
 
 
 def test_eval_rejects_nonsense_arguments(capsys):

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
-from thetaprod.precision import PrecisionSpec, digits_agreed
+from thetaprod import products
+from thetaprod.precision import (PrecisionError, PrecisionSpec, RealValue,
+                                 digits_agreed)
 from thetaprod.products import (A_FORMS, B_FORMS, CrossFormError, ProductValue,
                                 a_numeric, b_numeric)
 
@@ -63,6 +65,22 @@ def test_rejects_nonpositive_parameters():
         a_numeric(0, 3, P50)
     with pytest.raises(ValueError):
         b_numeric(2, -1, P50)
+
+
+def test_every_form_must_meet_the_budget(monkeypatch):
+    # a form whose bound never meets the budget fails the evaluation, even
+    # though the other form alone would
+    form_value = products._form_value
+
+    def one_form_vague(which, form, n, q):
+        value = form_value(which, form, n, q)
+        if form == "euler_quotient":
+            value = RealValue(value.magnitude, mpf(1))
+        return value
+
+    monkeypatch.setattr(products, "_form_value", one_form_vague)
+    with pytest.raises(PrecisionError):
+        b_numeric(8, 13, P50)
 
 
 def test_value_is_a_product_value():

@@ -9,8 +9,10 @@ from mpmath import mp, mpf, workdps
 
 from thetaprod.catalogue import find_record, load_builtin, parse_catalogue
 from thetaprod.precision import PrecisionSpec, RealValue
+from thetaprod.blocks import quotient_value
 from thetaprod.verify import (Residual, default_probes, default_tolerance,
-                              probe_value, verify_multiplier13, verify_numeric,
+                              normalized_residual, probe_value,
+                              verify_multiplier13, verify_numeric,
                               verify_series)
 
 P50 = PrecisionSpec.of(50)
@@ -93,6 +95,23 @@ def test_numeric_detects_wrong_constant():
     res = verify_numeric(bad, "1/10", P50)
     assert not res.passed
     assert abs(res.value.magnitude) > mpf("1e-6")
+
+
+@pytest.mark.parametrize("rec", RECORDS, ids=lambda r: r.id)
+def test_numeric_power_tables_match_per_monomial_powers(rec):
+    prec = PrecisionSpec.of(300)
+    q = probe_value("1/10", prec)
+    res = verify_numeric(rec, q, prec)
+    assert res.passed
+    # the same residual with each P^i Q^j raised on its own by powi; both
+    # enclose the true residual 0
+    with workdps(prec.working_digits):
+        p, qq = quotient_value(rec.p_expr, q), quotient_value(rec.q_expr, q)
+        old = normalized_residual(
+            [RealValue.from_fraction(c) * p.powi(i) * qq.powi(j)
+             for (i, j), c in sorted(rec.relation_poly.terms.items())])
+    assert abs(res.value.magnitude - old.magnitude) <= (
+        res.value.error_bound + old.error_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,13 @@ the rounding allowance charges every term that many units of 10^(2 - dps):
 
 It is charged against sum |c| x^g, not against the sum itself, so it stays
 an enclosure when an alternating sum cancels far below its terms, as
-f(-x), phi(-x) and psi(-x) do for x near 1.
+f(-x), phi(-x) and psi(-x) do for x near 1.  The radius of the argument x
+enters by the mean-value theorem: over the ball, the derivative of the
+partial sum is at most sum |c| g x^(g-1) * (x_hi / x)^G, x_hi the ball's
+upper end and G the next exponent, and the tail is bounded at x_hi too.
+Both accumulators (precision.radius_moments) and the whole bound are
+rounded upward to radius precision (precision.RADIUS_BITS); only the sum
+itself is full width.
 """
 from __future__ import annotations
 
@@ -26,8 +32,9 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .precision import (PrecisionError, PrecisionSpec, RealValue,
-                        compute_checked, rounding_unit, rv_exp, rv_pi)
+from .precision import (PrecisionError, PrecisionSpec, RealValue, compute_checked,
+                        radius_add, radius_div, radius_moments, radius_mul,
+                        radius_pow, radius_sub, rounding_unit, rv_exp, rv_pi)
 from .quotient import EtaQuotient
 from .series import PowerSeries, f_terms, phi_terms, psi_terms
 
@@ -97,29 +104,31 @@ def _sum_block(kind: str, x: RealValue) -> RealValue:
         cutoff = _CUTOFFS[mp.prec] = mpf(10) ** (-(mp.dps - 3))
     gaps, known = {1: xm}, [1]
     total = mpf(0)
-    absolute = mpf(0)       # sum of |c| * x^g
-    weighted = mpf(0)       # sum of |c| * g * x^g
+    summed = []             # (g, c, x^g) of every term
     g_prev, p = 0, mpf(1)
-    count = 0
     for g, c, nxt in terms:
         if g != g_prev:
             p, g_prev = p * _gap_power(gaps, known, g - g_prev), g
         total += c * p
-        term = abs(c) * p
-        absolute += term
-        weighted += g * term
-        count += 1
+        summed.append((g, c, p))
         if p < cutoff and g > 0:
             break
-        if count > 100000:
+        if len(summed) > 100000:
             raise PrecisionError("theta sum failed to converge")
-    tail = cbound * p * _gap_power(gaps, known, nxt - g) / (1 - xm)
-    # weighted / xm is the sum of |c| * g * x^(g-1), which bounds dS/dx.  Each
-    # x^g is a chain of at most g + count rounded products, and the running
-    # sum rounds count times, each against at most the sum of |c| * x^g.
-    err = (tail + weighted / xm * x.error_bound
-           + (weighted + (count + 2) * absolute) * rounding_unit())
-    return RealValue(total, err)
+    count = len(summed)
+    absolute, weighted = radius_moments(summed)     # sum |c| x^g, sum |c| g x^g
+    x_hi = x.abs_upper()
+    # (x_hi / xm)^nxt bounds (xi / xm)^g for every xi in the ball and g <= nxt
+    spread = radius_pow(radius_div(x_hi, xm), nxt)
+    tail = radius_div(radius_mul(cbound, p, _gap_power(gaps, known, nxt - g), spread),
+                      radius_sub(1, x_hi))
+    # weighted / xm is the sum of |c| * g * x^(g-1), which bounds dS/dx at xm.
+    # Each x^g is a chain of at most g + count rounded products, and the
+    # running sum rounds count times, each against at most the sum of |c| * x^g.
+    propagated = radius_mul(radius_div(weighted, xm), spread, x.error_bound)
+    rounding = radius_mul(radius_add(weighted, radius_mul(absolute, count + 2)),
+                          rounding_unit())
+    return RealValue(total, radius_add(tail, propagated, rounding))
 
 
 def block_value(kind: str, k: int, q: RealValue) -> RealValue:
@@ -178,8 +187,9 @@ def eval_series_at(series: PowerSeries, q: RealValue, prec: PrecisionSpec,
         total = RealValue.exact(0)
         for e in sorted(series.coeffs):
             total = total + RealValue.from_fraction(series.coeffs[e]) * u.powf(Fraction(e))
-        um = u.magnitude
-        tail = coeff_bound * um ** (series.order + 1) / (1 - um)
-        return RealValue(total.magnitude, total.error_bound + tail)
+        u_hi = u.abs_upper()
+        tail = radius_div(radius_mul(coeff_bound, radius_pow(u_hi, series.order + 1)),
+                          radius_sub(1, u_hi))
+        return RealValue(total.magnitude, radius_add(total.error_bound, tail))
 
     return compute_checked(prec, build)

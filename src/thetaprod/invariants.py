@@ -14,7 +14,8 @@ from fractions import Fraction
 from mpmath import mp, workdps
 
 from .blocks import block_value, nome_value
-from .precision import PrecisionSpec, RealValue, compute_checked
+from .precision import (PrecisionSpec, RealValue, compute_checked, radius_add,
+                        radius_div, radius_mul, rounding_unit)
 from .radicals import CorollaryRecord, load_builtin_registry, registry_find
 
 COMPANIONS = ("triple3", "quad4_36", "deg13")
@@ -147,9 +148,9 @@ def solve_companion(relation: str, known: RealValue, n, prec: PrecisionSpec) -> 
         fk = mp.diff(lambda t: equation(root, t), k)
         if fu == 0:
             raise RootSelectionError(f"{relation} root is degenerate", [root])
-        err = (abs(equation(root, k) / fu)
-               + abs(fk / fu) * known.error_bound
-               + abs(root) * mp.mpf(10) ** (2 - mp.dps))
+        err = radius_add(radius_div(equation(root, k), fu),
+                         radius_mul(radius_div(fk, fu), known.error_bound),
+                         radius_mul(root, rounding_unit()))
         return RealValue(root, err)
 
     return compute_checked(prec, build)

@@ -38,7 +38,8 @@ from mpmath import mp, workdps
 
 from .catalogue import CatalogueError, find_record, load_builtin
 from .invariants import RootSelectionError, g_numeric, solve_companion
-from .precision import PrecisionError, PrecisionSpec, RealValue, digits_agreed
+from .precision import (PrecisionError, PrecisionSpec, RealValue, digits_agreed,
+                        radius_add, radius_div, radius_sqrt)
 from .products import a_numeric, b_numeric
 from .radicals import (
     CorollaryRecord,
@@ -270,8 +271,8 @@ def _solve_quadratic(qa: RealValue, qb: RealValue, qc: RealValue,
     tol = mp.mpf("1e-6") * max(1, abs(boot))
     if abs(disc.magnitude) <= 2 * disc.error_bound:
         center = qb / two_a
-        halfwidth = mp.sqrt(abs(disc.magnitude) + disc.error_bound) / abs(two_a.magnitude)
-        root = RealValue(center.magnitude, center.error_bound + halfwidth)
+        halfwidth = radius_div(radius_sqrt(disc.abs_upper()), two_a.abs_lower())
+        root = RealValue(center.magnitude, radius_add(center.error_bound, halfwidth))
         if abs(root.magnitude - boot) > tol:
             raise RootSelectionError(
                 f"{what}: double root is not near the bootstrap {boot}",

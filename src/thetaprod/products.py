@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import block_value, nome_value
-from .precision import PrecisionSpec, RealValue, compute_checked, digits_agreed
+from .precision import (PrecisionSpec, RealValue, compute_checked, digits_agreed,
+                        radius_div)
 
 A_FORMS = ("psi_phi_even", "psi_phi_twisted", "euler_quotient")
 B_FORMS = ("psi_phi_odd", "euler_quotient")
@@ -82,7 +83,7 @@ def _evaluate(which: str, m, n, prec: PrecisionSpec) -> ProductValue:
         accepted[:] = [values, agreement]
         # the form furthest from its budget decides whether to escalate, so
         # every form meets it on the accepted attempt
-        return max(values, key=lambda v: v.error_bound / max(1, abs(v.magnitude)))
+        return max(values, key=lambda v: radius_div(v.error_bound, v.magnitude))
 
     compute_checked(prec, build)
     values, agreement = accepted

@@ -56,6 +56,20 @@ def test_G_times_g_cubed_relation():
         assert abs(lhs.magnitude - mp.mpf(1) / 4) < mp.mpf("1e-55")
 
 
+def test_small_g_is_certified_to_significant_digits():
+    # g(1/30000) is about 2.4e-20, so an absolute budget of 10^-50 would
+    # certify only about 30 of its digits; the budget is relative to |g|
+    spec = PrecisionSpec.of(50)
+    value = g_numeric(Fraction(1, 30000), spec).value
+    with workdps(100):
+        q = mp.exp(-mp.pi / mp.sqrt(30000))
+        # chi(-q) = (q; q^2)_infinity
+        want = mp.mpf(2) ** (mp.mpf(-1) / 4) * q ** (mp.mpf(-1) / 24) * mp.qp(q, q * q)
+        assert abs(value.magnitude - want) <= value.error_bound
+        assert abs(value.magnitude - want) <= mp.mpf(10) ** -50 * want
+    assert value.meets(spec)
+
+
 def test_invariant_value_fields():
     inv = g_numeric(30, P60)
     assert inv.kind == "g"

@@ -4,9 +4,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf, workdps
+from mpmath import iv, mp, mpf, workdps
 
 from thetaprod.precision import (PrecisionError, PrecisionSpec, RealValue,
                                  compute_checked, digits_agreed, rv_exp, rv_pi)
@@ -87,6 +87,110 @@ def test_error_bounds_are_honest(a, b, c):
         true = (a + b) * c - a * b
         err = abs(got.magnitude - mpf(true.numerator) / mpf(true.denominator))
         assert err <= got.error_bound + mpf("1e-27")
+
+
+# ---------------------------------------------------------------------------
+# ball oracle: every RealValue operation against mpmath.iv
+# ---------------------------------------------------------------------------
+
+# a leaf is ("leaf", m, rel): the ball m +- rel*|m|; inner nodes name an operation
+LEAVES = st.tuples(st.just("leaf"),
+                   st.fractions(min_value=-10, max_value=10, max_denominator=1000),
+                   st.one_of(st.just(Fraction(0)),
+                             st.fractions(min_value=0, max_value=Fraction(1, 10),
+                                          max_denominator=10**6)))
+TREES = st.recursive(LEAVES, lambda kids: st.one_of(
+    st.tuples(st.sampled_from(("add", "sub", "mul", "div")), kids, kids),
+    st.tuples(st.just("powi"), kids, st.integers(min_value=-3, max_value=4)),
+    st.tuples(st.just("powf"), kids,
+              st.fractions(min_value=-3, max_value=3, max_denominator=6)),
+    st.tuples(st.sampled_from(("sqrt", "exp")), kids)), max_leaves=6)
+
+
+def _balls(node):
+    """The tree with each leaf made a RealValue at the current precision."""
+    if node[0] == "leaf":
+        m = mpf(node[1].numerator) / node[1].denominator
+        return ("leaf", RealValue(m, mpf(node[2].numerator) / node[2].denominator * abs(m)))
+    return (node[0],) + tuple(_balls(k) if isinstance(k, tuple) else k for k in node[1:])
+
+
+def _ball_value(node) -> RealValue:
+    """Evaluate with RealValue; a tree outside an operation's domain is
+    rejected (a refused division or power is PrecisionError by design)."""
+    op = node[0]
+    if op == "leaf":
+        return node[1]
+    x = _ball_value(node[1])
+    if op in ("add", "sub", "mul", "div"):
+        y = _ball_value(node[2])
+        try:
+            return {"add": x.__add__, "sub": x.__sub__, "mul": x.__mul__,
+                    "div": x.__truediv__}[op](y)
+        except PrecisionError:
+            assume(False)
+    if op == "exp":
+        assume(abs(x.magnitude) + x.error_bound < 50)
+        return rv_exp(x)
+    if op in ("sqrt", "powf"):
+        # a fractional power is defined only on a positive ball
+        assume(x.magnitude - x.error_bound > 0)
+    try:
+        if op == "powi":
+            return x.powi(node[2])
+        return x.sqrt() if op == "sqrt" else x.powf(node[2])
+    except PrecisionError:
+        assume(False)
+
+
+def _iv_value(node):
+    """The same tree in mpmath.iv; the leaf interval is exactly the ball."""
+    op = node[0]
+    if op == "leaf":
+        m, e = node[1].magnitude, node[1].error_bound
+        return iv.mpf(m) + iv.mpf([-1, 1]) * e
+    x = _iv_value(node[1])
+    if op == "add":
+        return x + _iv_value(node[2])
+    if op == "sub":
+        return x - _iv_value(node[2])
+    if op == "mul":
+        return x * _iv_value(node[2])
+    if op == "div":
+        return x / _iv_value(node[2])
+    if op == "powi":
+        return x ** node[2]
+    if op == "powf":
+        r = node[2]
+        return x ** r.numerator if r.denominator == 1 else x ** (iv.mpf(r.numerator) / r.denominator)
+    return iv.sqrt(x) if op == "sqrt" else iv.exp(x)
+
+
+@pytest.mark.parametrize("dps", [30, 200, 1000])
+def test_ball_encloses_interval_arithmetic(dps):
+    """The ball of any expression tree over + - * / powi powf sqrt exp,
+    on balls of radius up to 10% of the midpoint, holds the mpmath.iv
+    interval of the same tree computed 30 digits further, with no slack."""
+
+    @settings(max_examples=120 if dps < 1000 else 40, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(TREES)
+    def check(tree):
+        with workdps(dps):
+            node = _balls(tree)
+            got = _ball_value(node)
+        saved, iv.dps = iv.dps, dps + 30
+        try:
+            want = _iv_value(node)
+        finally:
+            iv.dps = saved
+        with workdps(dps + 30):
+            lo, hi = mpf(want.a), mpf(want.b)
+        m, e = got.magnitude, got.error_bound
+        assert mp.fsub(m, lo, exact=True) <= e
+        assert mp.fsub(hi, m, exact=True) <= e
+
+    check()
 
 
 def test_meets_uses_relative_budget_for_large_values():

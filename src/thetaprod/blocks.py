@@ -6,23 +6,42 @@ and coefficients bounded by 2 in absolute value, so for 0 < x < 1 the tail
 after the n-th retained term is at most  c * x^(g(n+1)) / (1 - x).  That
 bound is added to the returned error estimate rather than assumed away.
 
-No power is raised from scratch.  A term's x^g is the previous term's power
-times the gap power x^(g - g_prev), and a gap power not yet formed in the
-sum is the product of two that are (x^a * x^(d-a), a the largest gap formed
-so far).  So each x^g is a chain of at most g + count rounded products, and
-the rounding allowance charges every term that many units of 10^(2 - dps):
+A block is summed in fixed-point integers.  With u = 2^-wp, wp = mp.prec +
+_GUARD_BITS, the midpoint of x becomes X = floor(x * 2^wp), and every power
+and the running sum are integers in units of u.  No power is raised from
+scratch, and each product is formed at the width its term needs: a term's
+x^g is the previous term's power p times the gap power x^d, d = g - g_prev,
 
-    (sum |c| g x^g + (count + 2) * sum |c| x^g) * 10^(2 - dps).
+    p <- (p * G_d) >> w,    w = min(wp, bit length of p),
 
-It is charged against sum |c| x^g, not against the sum itself, so it stays
-an enclosure when an alternating sum cancels far below its terms, as
-f(-x), phi(-x) and psi(-x) do for x near 1.  The radius of the argument x
-enters by the mean-value theorem: over the ball, the derivative of the
-partial sum is at most sum |c| g x^(g-1) * (x_hi / x)^G, x_hi the ball's
-upper end and G the next exponent, and the tail is bounded at x_hi too.
-Both accumulators (precision.radius_moments) and the whole bound are
-rounded upward to radius precision (precision.RADIUS_BITS); only the sum
-itself is full width.
+with G_d = x^d in units of 2^-w.  A gap power not yet formed in the sum is
+the product of two that are, (G_a * G_(d-a)) >> w with a the largest gap
+formed so far; a stored one is shifted down to the current w.  p never
+grows, so w never rises and a stored gap power is never needed wider.
+
+Every step floors, so every computed power is a lower bound, and by
+induction on the steps (x < 1 throughout):
+  - x^1 at width w is X shifted down, short by less than 2 = 3*1 - 1
+    units of 2^-w;
+  - a product of x^a and x^b short by less than 3a - 1 and 3b - 1 units,
+    each at most 2^w, is short by less than (3a - 1) + (3b - 1) + 1 =
+    3(a + b) - 1 units, and a shift down leaves a shortfall s < 3d - 1 at
+    less than s/2 + 1 <= 3d - 1;
+  - a term step scales p's shortfall by x^d <= 1 and adds less than
+    p * (3d - 1) * 2^-w + 1 <= 3d units of u, as p <= 2^w.
+So each computed x^g is short by less than 3g u, and the exact integer sum
+of c * p is within 3 * sum |c| g * u of the sum of c x^g: that is the
+rounding allowance, plus one rounding of the midpoint to mp.prec.  It is
+charged against sum |c| g, not against the sum itself, so it stays an
+enclosure when an alternating sum cancels far below its terms, as f(-x),
+phi(-x) and psi(-x) do for x near 1.
+
+The radius of the argument x enters by the mean-value theorem: over the
+ball, the derivative of the partial sum is at most sum |c| g x^(g-1) *
+(x_hi / x)^G, x_hi the ball's upper end and G the next exponent, where
+sum |c| g x^g <= sum |c| g (p + 3g u).  The tail is bounded at x_hi,
+cbound * x_hi^G / (1 - x_hi).  The bound is rounded upward to radius
+precision (precision.RADIUS_BITS); only the sum is full width.
 """
 from __future__ import annotations
 
@@ -33,8 +52,8 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .precision import (PrecisionError, PrecisionSpec, RealValue, compute_checked,
-                        radius_add, radius_div, radius_moments, radius_mul,
-                        radius_pow, radius_sub, rounding_unit, rv_exp, rv_pi)
+                        fixed_ball, radius_add, radius_div, radius_fixed, radius_mul,
+                        radius_pow, radius_sub, rv_exp, rv_pi, to_fixed)
 from .quotient import EtaQuotient
 from .series import PowerSeries, f_terms, phi_terms, psi_terms
 
@@ -71,22 +90,49 @@ def nome(m, n, prec: PrecisionSpec) -> Nome:
 _terms_f, _terms_phi, _terms_psi = f_terms, phi_terms, psi_terms
 
 
-# 10^-(dps - 3) per working precision: a term below it ends a sum
-_CUTOFFS: dict[int, mpf] = {}
+# a sum runs in units of 2^-(mp.prec + _GUARD_BITS)
+_GUARD_BITS = 10
+
+# 10^-(dps - 3) in those units, per working precision: a term below it ends a sum
+_CUTOFFS: dict[int, int] = {}
 
 
-def _gap_power(gaps: dict[int, mpf], known: list[int], d: int) -> mpf:
-    """x^d, given gaps = {e: x^e} holding x^1 and known = its sorted keys.
+def _gap_power(gaps: dict[int, tuple[int, int]], known: list[int], d: int, w: int) -> int:
+    """x^d in units of 2^-w, given gaps = {e: (x^e in units of 2^-v, v)}
+    holding x^1 and known = its sorted keys; w is at most every stored v.
 
-    A new x^d is x^a * x^(d-a) for the largest known a < d, and is kept.
-    The streams' gaps grow by 1 or 2, so d - a is almost always known.
+    A stored power is shifted down to w and kept so.  A new x^d is
+    x^a * x^(d-a) for the largest known a < d, and is kept.  The streams'
+    gaps grow by 1 or 2, so d - a is almost always known.
     """
-    p = gaps.get(d)
-    if p is None:
+    if d in gaps:
+        p, v = gaps[d]
+        if v == w:
+            return p
+        p >>= v - w
+    else:
         a = known[bisect_left(known, d) - 1]
-        p = gaps[d] = gaps[a] * _gap_power(gaps, known, d - a)
+        p = _gap_power(gaps, known, a, w) * _gap_power(gaps, known, d - a, w) >> w
         insort(known, d)
+    gaps[d] = p, w
     return p
+
+
+def _powers(terms, x: int, wp: int, cutoff: int):
+    """(g, c, nxt, p) for each term of a stream through the first one with
+    g > 0 and p < cutoff, where p is x^g in units of 2^-wp and x is given in
+    those units.  Each step is formed at the width its term needs."""
+    gaps, known = {1: (x, wp)}, [1]
+    g_prev, p = 0, 1 << wp
+    for count, (g, c, nxt) in enumerate(terms):
+        if g != g_prev:
+            w = min(wp, p.bit_length())
+            p, g_prev = p * _gap_power(gaps, known, g - g_prev, w) >> w, g
+        yield g, c, nxt, p
+        if p < cutoff and g > 0:
+            return
+        if count >= 100000:
+            raise PrecisionError("theta sum failed to converge")
 
 
 def _sum_block(kind: str, x: RealValue) -> RealValue:
@@ -99,36 +145,29 @@ def _sum_block(kind: str, x: RealValue) -> RealValue:
         terms, cbound = _terms_psi(kind.split("_")[1]), 1
 
     xm = x.magnitude
+    wp = mp.prec + _GUARD_BITS
     cutoff = _CUTOFFS.get(mp.prec)
     if cutoff is None:
-        cutoff = _CUTOFFS[mp.prec] = mpf(10) ** (-(mp.dps - 3))
-    gaps, known = {1: xm}, [1]
-    total = mpf(0)
-    summed = []             # (g, c, x^g) of every term
-    g_prev, p = 0, mpf(1)
-    for g, c, nxt in terms:
-        if g != g_prev:
-            p, g_prev = p * _gap_power(gaps, known, g - g_prev), g
+        cutoff = _CUTOFFS[mp.prec] = to_fixed(mpf(10) ** (-(mp.dps - 3)), wp)
+    # exact integers: sum c p and sum |c| g p in units of 2^-wp, sum |c| g
+    # and sum |c| g^2
+    total = weighted = g_sum = g2_sum = 0
+    for g, c, nxt, p in _powers(terms, to_fixed(xm, wp), wp, cutoff):
         total += c * p
-        summed.append((g, c, p))
-        if p < cutoff and g > 0:
-            break
-        if len(summed) > 100000:
-            raise PrecisionError("theta sum failed to converge")
-    count = len(summed)
-    absolute, weighted = radius_moments(summed)     # sum |c| x^g, sum |c| g x^g
+        cg = abs(c) * g
+        weighted += cg * p
+        g_sum += cg
+        g2_sum += cg * g
     x_hi = x.abs_upper()
     # (x_hi / xm)^nxt bounds (xi / xm)^g for every xi in the ball and g <= nxt
     spread = radius_pow(radius_div(x_hi, xm), nxt)
-    tail = radius_div(radius_mul(cbound, p, _gap_power(gaps, known, nxt - g), spread),
-                      radius_sub(1, x_hi))
-    # weighted / xm is the sum of |c| * g * x^(g-1), which bounds dS/dx at xm.
-    # Each x^g is a chain of at most g + count rounded products, and the
-    # running sum rounds count times, each against at most the sum of |c| * x^g.
-    propagated = radius_mul(radius_div(weighted, xm), spread, x.error_bound)
-    rounding = radius_mul(radius_add(weighted, radius_mul(absolute, count + 2)),
-                          rounding_unit())
-    return RealValue(total, radius_add(tail, propagated, rounding))
+    tail = radius_div(radius_mul(cbound, radius_pow(x_hi, nxt)), radius_sub(1, x_hi))
+    # x^g <= p + 3 g 2^-wp, so (weighted + 3 g2_sum) 2^-wp / xm bounds the
+    # sum of |c| g x^(g-1), which bounds dS/dx at xm
+    propagated = radius_mul(radius_div(radius_fixed(weighted + 3 * g2_sum, wp), xm),
+                            spread, x.error_bound)
+    rounding = radius_fixed(3 * g_sum, wp)
+    return fixed_ball(total, wp, radius_add(tail, propagated, rounding))
 
 
 def block_value(kind: str, k: int, q: RealValue) -> RealValue:

@@ -14,8 +14,8 @@ from fractions import Fraction
 from mpmath import mp, workdps
 
 from .blocks import block_value, nome_value
-from .precision import (PrecisionSpec, RealValue, compute_checked, radius_add,
-                        radius_div, radius_mul, rounding_unit)
+from .precision import (PrecisionError, PrecisionSpec, RealValue, compute_checked,
+                        radius_add, radius_div, radius_mul)
 from .radicals import CorollaryRecord, load_builtin_registry, registry_find
 
 COMPANIONS = ("triple3", "quad4_36", "deg13")
@@ -83,19 +83,20 @@ def _companion_leg(relation: str, n: Fraction) -> Fraction:
 
 
 def _companion_equation(relation: str):
+    """F(u, k) over balls, zero where u is the target leg and k the known one."""
+    two, six, eight, twenty = (RealValue.exact(c) for c in (2, 6, 8, 20))
     if relation == "triple3":
         # 2 sqrt(2) (X^3 + X^-3) = r^6 - r^-6 with X = K u, r = K / u
         def f(u, k):
-            x3 = (k * u) ** 3
-            r6 = (k / u) ** 6
-            return 2 * mp.sqrt(2) * (x3 + 1 / x3) - (r6 - 1 / r6)
+            x3, r6 = (k * u).powi(3), (k / u).powi(6)
+            return two * two.sqrt() * (x3 + x3.powi(-1)) - (r6 - r6.powi(-1))
         return f
     if relation == "deg13":
         # 8 (X^6 + X^-6) = w^7 - 6 w^5 + w^3 + 20 w with w = r - 1/r
         def f(u, k):
-            x6 = (k * u) ** 6
-            w = k / u - u / k
-            return 8 * (x6 + 1 / x6) - (w ** 7 - 6 * w ** 5 + w ** 3 + 20 * w)
+            x6, w = (k * u).powi(6), k / u - u / k
+            return (eight * (x6 + x6.powi(-1))
+                    - (w.powi(7) - six * w.powi(5) + w.powi(3) + twenty * w))
         return f
     raise AssertionError(relation)
 
@@ -109,7 +110,9 @@ def solve_companion(relation: str, known: RealValue, n, prec: PrecisionSpec) -> 
 
     For the two root-finding relations the correct branch is selected by a
     20-digit definitional bootstrap of the target leg, then polished on the
-    companion equation itself at working precision.
+    companion equation itself at working precision.  The returned ball is
+    an enclosure: the equation, evaluated in ball arithmetic over the known
+    leg's ball, takes strictly opposite signs at its two ends.
     """
     if relation not in COMPANIONS:
         raise ValueError(f"unknown companion relation {relation!r}; "
@@ -129,10 +132,12 @@ def solve_companion(relation: str, known: RealValue, n, prec: PrecisionSpec) -> 
     seed = g_numeric(_companion_leg(relation, n), PrecisionSpec.of(20)).value
     equation = _companion_equation(relation)
 
+    def at(u) -> RealValue:
+        return equation(RealValue.exact(u), known)
+
     def build():
-        k = known.magnitude
         try:
-            root = mp.findroot(lambda u: equation(u, k), seed.magnitude)
+            root = mp.findroot(lambda u: at(u).magnitude, seed.magnitude)
         except (ValueError, ZeroDivisionError) as exc:
             raise RootSelectionError(f"findroot failed for {relation}: {exc}",
                                      [seed.magnitude])
@@ -144,13 +149,18 @@ def solve_companion(relation: str, known: RealValue, n, prec: PrecisionSpec) -> 
             raise RootSelectionError(
                 f"{relation} root {root} strayed from bootstrap {seed.magnitude}",
                 [root, seed.magnitude])
-        fu = mp.diff(lambda u: equation(u, k), root)
-        fk = mp.diff(lambda t: equation(root, t), k)
+        fu = mp.diff(lambda u: at(u).magnitude, root)
         if fu == 0:
             raise RootSelectionError(f"{relation} root is degenerate", [root])
-        err = radius_add(radius_div(equation(root, k), fu),
-                         radius_mul(radius_div(fk, fu), known.error_bound),
-                         radius_mul(root, rounding_unit()))
-        return RealValue(root, err)
+        # twice the Newton step |F| / |F_u|, with F's radius over the ball of
+        # k added to |F|; F of strictly opposite signs at the two ends, for
+        # every k in that ball, encloses the root
+        residual = at(root)
+        r = radius_mul(2, radius_div(radius_add(residual.magnitude, residual.error_bound), fu))
+        low, high = (at(mp.fadd(root, s * r, exact=True)) for s in (-1, 1))
+        if not (low.abs_lower() > 0 and high.abs_lower() > 0
+                and low.magnitude * high.magnitude < 0):
+            raise PrecisionError(f"{relation} root {root} not bracketed by +- {r}")
+        return RealValue(root, r)
 
     return compute_checked(prec, build)

@@ -7,18 +7,21 @@ precision; the radius is an mpf of RADIUS_BITS bits, and every operation on
 radii rounds upward (a denominator downward) through mpmath.libmp, so the
 bound is an enclosure and costs a few dozen bits, not the working precision.
 Each operation adds to the propagated radius a rounding allowance of
-2^(exponent of the midpoint) * rounding_unit() per rounding of the
-midpoint; the unit, 10^(2 - dps), is far above an ulp, so it also absorbs
-the ulp-level error of a midpoint that enters a radius.  exp and fractional
+2^(exponent of the midpoint) * 10^(2 - dps) per rounding of the midpoint;
+that unit is far above an ulp, so it also absorbs the ulp-level error of a
+midpoint that enters a radius.  exp and fractional
 powers are bounded by expm1 and by the mean-value theorem, not to first
 order.  The radius format is known only to this module: other modules build
 bounds with radius_add(), radius_sub(), radius_mul(), radius_div(),
-radius_pow(), radius_sqrt() and radius_moments(), which round a full-width
-argument to radius precision before using it.
+radius_pow() and radius_sqrt(), which round a full-width argument to radius
+precision before using it.  A sum in fixed-point integers, x in units of
+2^-wp, reads its operands with to_fixed(), its radius terms with
+radius_fixed() and becomes a ball through fixed_ball().
 
 Public evaluation entry points run inside compute_checked(), which executes
 the computation at target + guard digits and retries with a doubled guard if
-the radius ever exceeds the promised 10^(-target) * |x| budget.
+the radius ever exceeds the promised 10^(-target) * |x| budget, or if the
+computation raises PrecisionError.
 """
 from __future__ import annotations
 
@@ -80,12 +83,6 @@ def _unit() -> tuple:
     if unit is None:
         unit = _UNITS[mp.prec] = mpf_pow_int(_TEN, 2 - mp.dps, RADIUS_BITS, "u")
     return unit
-
-
-def rounding_unit() -> mpf:
-    """10^(2 - mp.dps) rounded up to radius precision: one conservative unit
-    of relative rounding at the active precision, formed once per precision."""
-    return _make(_unit())
 
 
 # ------------------------------------------------------------------ radii
@@ -160,25 +157,15 @@ def radius_sqrt(x) -> mpf:
     return _make(mpf_sqrt(_up(_raw(x)), RADIUS_BITS, "u"))
 
 
-def radius_moments(terms) -> tuple[mpf, mpf]:
-    """(sum |c| x, sum |c| g x) over (g, c, x) triples with integers g >= 0
-    and c, rounded up to radius precision.  Each |c| x is rounded up onto
-    the grid of 2^-64 times the first x's leading bit, where both sums are
-    exact integers, so a term costs a shift and two integer additions."""
-    scale = None
-    absolute = weighted = 0
-    for g, c, x in terms:
-        _, man, exp, bc = x._mpf_
-        if scale is None:
-            scale = exp + bc - 64
-        shift = exp - scale
-        t = abs(c) * (man << shift if shift >= 0 else -(-man >> -shift))
-        absolute += t
-        weighted += g * t
-    if scale is None:
-        return _ZERO, _ZERO
-    return (_make(from_man_exp(absolute, scale, RADIUS_BITS, "u")),
-            _make(from_man_exp(weighted, scale, RADIUS_BITS, "u")))
+def to_fixed(x: mpf, wp: int) -> int:
+    """floor(x * 2^wp) for an mpf x >= 0: x in units of 2^-wp."""
+    _, man, exp, _ = x._mpf_
+    return man << (exp + wp) if exp + wp >= 0 else man >> -(exp + wp)
+
+
+def radius_fixed(n: int, wp: int) -> mpf:
+    """|n| * 2^-wp rounded up to radius precision."""
+    return _make(from_man_exp(abs(n), -wp, RADIUS_BITS, "u"))
 
 
 def _expm1_bound(e) -> tuple:
@@ -309,6 +296,13 @@ class RealValue:
         return f"{self.magnitude} (+- {self.error_bound})"
 
 
+def fixed_ball(n: int, wp: int, radius: mpf) -> RealValue:
+    """The ball about n * 2^-wp rounded once to mp.prec; its radius is the
+    given one plus the allowance for that rounding."""
+    m = from_man_exp(n, -wp, mp.prec, "n")
+    return _ball(_make(m), _sum(radius._mpf_, _rounding(m)))
+
+
 def rv_exp(x: RealValue) -> RealValue:
     """exp of a ball: |exp(x') - exp(m)| <= exp(m) * expm1(e) for |x' - m| <= e."""
     m = mp.exp(x.magnitude)
@@ -323,14 +317,20 @@ def rv_pi() -> RealValue:
 
 def compute_checked(spec: PrecisionSpec, builder):
     """Run builder() at working precision; retry with wider guard bands until
-    the result honors spec's error budget."""
+    the result honors spec's error budget.  A PrecisionError from builder()
+    asks for a wider guard too; the last one is raised if all attempts fail."""
     attempt = spec
     for _ in range(4):
-        with workdps(attempt.working_digits):
-            value = builder()
-        if value.meets(spec):
+        try:
+            with workdps(attempt.working_digits):
+                value = builder()
+        except PrecisionError as exc:
+            value, refused = None, exc
+        if value is not None and value.meets(spec):
             return value
         attempt = attempt.widened()
+    if value is None:
+        raise refused
     raise PrecisionError(
         f"could not reach {spec.target_digits} digits even with "
         f"{attempt.guard_digits} guard digits")

@@ -1,16 +1,20 @@
 """Tests for the numeric theta-block and eta-quotient evaluator."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
-from thetaprod.blocks import (BLOCK_KINDS, Nome, _sum_block, eval_block,
+from thetaprod.blocks import (BLOCK_KINDS, Nome, _powers, _sum_block, eval_block,
                               eval_eta_quotient, eval_series_at, nome)
-from thetaprod.precision import PrecisionSpec, RealValue, digits_agreed
+from thetaprod.precision import PrecisionSpec, RealValue, digits_agreed, to_fixed
 from thetaprod.quotient import EtaQuotient
-from thetaprod.series import mul, series_f, series_phi, series_psi
+from thetaprod.series import (f_terms, mul, phi_terms, psi_terms, series_f, series_phi,
+                              series_psi)
 
 P40 = PrecisionSpec.of(40)
 P60 = PrecisionSpec.of(60)
@@ -190,6 +194,71 @@ def test_sum_block_encloses_mpmath_value(kind, digits, x):
     with workdps(digits + 50):
         want = MPMATH_BLOCKS[kind](mpf(x.numerator) / x.denominator)
         assert abs(got.magnitude - want) <= got.error_bound
+
+
+# mpmath forms for the ball oracle: those above, but psi(+-x) from theta_2
+# at nome sqrt(x), since the q-Pochhammer ratio takes seconds near x = 1 at
+# a thousand digits
+BALL_ORACLE = {
+    **MPMATH_BLOCKS,
+    "psi_plus": lambda x: mp.jtheta(2, 0, mp.sqrt(x)) / (2 * mp.root(x, 8)),
+    "psi_minus": lambda x: mp.jtheta(2, mp.pi / 4, mp.sqrt(x)) / (mp.sqrt(2) * mp.root(x, 8)),
+}
+
+
+@pytest.mark.parametrize("digits,examples", [(30, 60), (200, 30), (1000, 10)])
+def test_sum_block_ball_encloses_mpmath_values(digits, examples):
+    # a ball of radius up to 10^-3 x: the returned ball must hold the block
+    # at both ends of the argument's ball and at its midpoint
+    @settings(max_examples=examples, deadline=None, database=None, derandomize=True)
+    @given(kind=st.sampled_from(sorted(BALL_ORACLE)),
+           x=st.floats(min_value=1e-6, max_value=0.99),
+           spread=st.integers(0, 1000))
+    def check(kind, x, spread):
+        with workdps(digits):
+            mid = mpf(x)
+            ball = RealValue(mid, mid * spread / 10 ** 6)
+            got = _sum_block(kind, ball)
+        with workdps(digits + 50):
+            for xi in (mid - ball.error_bound, mid, mid + ball.error_bound):
+                assert abs(got.magnitude - BALL_ORACLE[kind](xi)) <= got.error_bound
+
+    check()
+
+
+def _power_bounds(x: int, g: int, wp: int, extra: int) -> tuple[int, int]:
+    """Integers lo <= (x 2^-wp)^g 2^(wp + extra) <= hi, by binary powering
+    in units of 2^-(wp + extra), rounding down for lo and up for hi."""
+    width = wp + extra
+    lo = hi = 1 << width
+    base_lo = base_hi = x << extra
+    while g:
+        if g & 1:
+            lo, hi = lo * base_lo >> width, -(-hi * base_hi >> width)
+        g >>= 1
+        if g:
+            base_lo, base_hi = base_lo ** 2 >> width, -(-base_hi ** 2 >> width)
+    return lo, hi
+
+
+@pytest.mark.parametrize("stream", [f_terms, phi_terms, psi_terms])
+@pytest.mark.parametrize("digits", [30, 200, 1000])
+def test_power_chain_is_short_by_at_most_3g_units(stream, digits):
+    # each x^g that _powers forms lies in [X^g 2^-(g-1)wp - 3g, X^g 2^-(g-1)wp]
+    # units of 2^-wp.  The exact power is held between two integers at 64
+    # more bits, off by about g of those units, far below the slack of a
+    # chain that floors in every step.  The midpoint rounding that
+    # _sum_block adds dominates its bound, so only this test sees a chain
+    # formed a few bits too narrow
+    rng = random.Random(digits)
+    with workdps(digits):
+        wp = mp.prec + 10
+        cutoff = to_fixed(mpf(10) ** (3 - digits), wp)
+    for _ in range(3):
+        x = rng.randrange(2 ** wp // 1000, 99 * 2 ** wp // 100)
+        for g, _, _, p in _powers(stream("minus"), x, wp, cutoff):
+            lo, hi = _power_bounds(x, g, wp, 64)
+            assert p << 64 <= lo and hi - (p << 64) <= 3 * g << 64
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from thetaprod.blocks import eval_block, nome
 from thetaprod.invariants import (
     G_numeric,
     RootSelectionError,
+    _companion_equation,
     g_numeric,
     registry_lookup,
     solve_companion,
@@ -177,3 +178,22 @@ def test_solved_root_satisfies_equation():
         r6 = (k / u) ** 6
         resid = 2 * mp.sqrt(2) * (x3 + 1 / x3) - (r6 - 1 / r6)
         assert abs(resid) < mp.mpf("1e-55")
+
+
+@pytest.mark.parametrize("relation,known_n,n", [("triple3", 30, 10), ("deg13", 78, 6)])
+def test_companion_ball_holds_the_root_at_both_ends_of_the_known_ball(relation, known_n, n):
+    # a known leg 10^-45 wide moves the root measurably; the returned ball
+    # must hold the root found at twice the digits with k at either end
+    spec = PrecisionSpec.of(40)
+    with workdps(spec.working_digits):
+        k = g_numeric(known_n, spec).value.magnitude
+        known = RealValue(k, k * mp.mpf(10) ** -45)
+    got = solve_companion(relation, known, n, spec)
+    equation = _companion_equation(relation)
+    with workdps(2 * spec.working_digits):
+        roots = [mp.findroot(lambda u: equation(RealValue.exact(u), RealValue.exact(end)).magnitude,
+                             got.magnitude)
+                 for end in (k - known.error_bound, k + known.error_bound)]
+        assert abs(roots[0] - roots[1]) > got.error_bound / 10
+        for root in roots:
+            assert abs(root - got.magnitude) <= got.error_bound

@@ -229,6 +229,32 @@ def test_compute_checked_retries_with_wider_guard():
     assert calls[1] > calls[0]
 
 
+def test_compute_checked_retries_a_refused_computation():
+    spec = PrecisionSpec(50, 15)
+    calls = []
+
+    def builder():
+        calls.append(mp.dps)
+        if len(calls) == 1:
+            raise PrecisionError("refused at the first guard")
+        return rv_exp(RealValue.exact(1))
+
+    assert compute_checked(spec, builder).meets(spec)
+    assert len(calls) == 2 and calls[1] > calls[0]
+
+
+def test_compute_checked_raises_the_last_refusal():
+    calls = []
+
+    def builder():
+        calls.append(mp.dps)
+        return RealValue.exact(1) / RealValue(mpf(0), mpf(1))
+
+    with pytest.raises(PrecisionError, match="indistinguishable from zero"):
+        compute_checked(PrecisionSpec(50, 15), builder)
+    assert len(calls) == 4
+
+
 def test_compute_checked_gives_up_honestly():
     spec = PrecisionSpec(50, 15)
     with pytest.raises(PrecisionError):

@@ -295,7 +295,7 @@ def _reproduce_checks(ids, prec, registry):
         except KeyError as exc:
             raise UsageError(str(exc.args[0]))
         details = dict(rep.agreement)
-        details["lambda"] = rep.lam.construction
+        details["lambda"] = rep.pair.lam.construction
         details["residuals_ok"] = all(r.passed for r in rep.pair.residuals)
         out.append(CheckRecord(f"reproduce {pid}", "reproduce",
                                rep.verdict, details))

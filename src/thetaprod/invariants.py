@@ -2,23 +2,23 @@
 
 g(n) = 2^(-1/4) q^(-1/24) chi(-q) and G(n) = 2^(-1/4) q^(-1/24) chi(q) at
 q = exp(-pi sqrt(n)), for positive rational n.  Known closed forms come from
-the registry; solve_companion derives one invariant (or invariant product)
-from another through a classical modular relation, which is how values at
-awkward rational arguments are reached.
+the registry; solve_companion derives one invariant from another through a
+classical modular relation, and quad4_36_value one invariant product from
+another, which is how values at awkward rational arguments are reached.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, workdps
+from mpmath import mp
 
 from .blocks import block_value, nome_value
 from .precision import (PrecisionError, PrecisionSpec, RealValue, compute_checked,
                         radius_add, radius_div, radius_mul)
 from .radicals import CorollaryRecord, load_builtin_registry, registry_find
 
-COMPANIONS = ("triple3", "quad4_36", "deg13")
+COMPANIONS = ("triple3", "deg13")
 
 
 class RootSelectionError(ArithmeticError):
@@ -36,18 +36,19 @@ class InvariantValue:
     value: RealValue
 
 
+def invariant_value(kind: str, n: Fraction) -> RealValue:
+    """g(n) ("g") or G(n) ("G") at the current mp.dps; n a positive Fraction."""
+    block = "chi_minus" if kind == "g" else "chi_plus"
+    q = nome_value(n)
+    scale = RealValue.exact(2).powf(Fraction(-1, 4))
+    return scale * q.powf(Fraction(-1, 24)) * block_value(block, 1, q)
+
+
 def _invariant(kind: str, n, prec: PrecisionSpec) -> InvariantValue:
     n = Fraction(n)
     if n <= 0:
         raise ValueError("invariant argument must be positive")
-    block = "chi_minus" if kind == "g" else "chi_plus"
-
-    def build():
-        q = nome_value(n)
-        scale = RealValue.exact(2).powf(Fraction(-1, 4))
-        return scale * q.powf(Fraction(-1, 24)) * block_value(block, 1, q)
-
-    return InvariantValue(kind, n, compute_checked(prec, build))
+    return InvariantValue(kind, n, compute_checked(prec, lambda: invariant_value(kind, n)))
 
 
 def g_numeric(n, prec: PrecisionSpec) -> InvariantValue:
@@ -56,6 +57,13 @@ def g_numeric(n, prec: PrecisionSpec) -> InvariantValue:
 
 def G_numeric(n, prec: PrecisionSpec) -> InvariantValue:
     return _invariant("G", n, prec)
+
+
+def quad4_36_value(a: RealValue) -> RealValue:
+    """g(4n) g(36n) from a = g(n) g(9n) at the current mp.dps: the single
+    positive root in B^2 of B^4 - 2 A^4 B^2 - 2 A^2 = 0."""
+    inner = (a.powi(8) + RealValue.exact(2) * a.powi(2)).sqrt()
+    return (a.powi(4) + inner).sqrt()
 
 
 def registry_lookup(kind: str, n, records=None) -> CorollaryRecord | None:
@@ -106,13 +114,12 @@ def solve_companion(relation: str, known: RealValue, n, prec: PrecisionSpec) -> 
 
     triple3:   known g(3n), returns g(n/3)   [degree-3 relation]
     deg13:     known g(13n), returns g(n/13) [degree-13 relation]
-    quad4_36:  known the product g(n) g(9n), returns g(4n) g(36n)
 
-    For the two root-finding relations the correct branch is selected by a
-    20-digit definitional bootstrap of the target leg, then polished on the
-    companion equation itself at working precision.  The returned ball is
-    an enclosure: the equation, evaluated in ball arithmetic over the known
-    leg's ball, takes strictly opposite signs at its two ends.
+    The correct branch is selected by a 20-digit definitional bootstrap of
+    the target leg, then polished on the companion equation itself at
+    working precision.  The returned ball is an enclosure: the equation,
+    evaluated in ball arithmetic over the known leg's ball, takes strictly
+    opposite signs at its two ends.
     """
     if relation not in COMPANIONS:
         raise ValueError(f"unknown companion relation {relation!r}; "
@@ -120,14 +127,6 @@ def solve_companion(relation: str, known: RealValue, n, prec: PrecisionSpec) -> 
     n = Fraction(n)
     if n <= 0:
         raise ValueError("companion parameter must be positive")
-
-    if relation == "quad4_36":
-        # B^4 - 2 A^4 B^2 - 2 A^2 = 0 has a single positive root in B^2
-        def build():
-            a = known
-            inner = (a.powi(8) + RealValue.exact(2) * a.powi(2)).sqrt()
-            return (a.powi(4) + inner).sqrt()
-        return compute_checked(prec, build)
 
     seed = g_numeric(_companion_leg(relation, n), PrecisionSpec.of(20)).value
     equation = _companion_equation(relation)

@@ -19,9 +19,10 @@ precision before using it.  A sum in fixed-point integers, x in units of
 radius_fixed() and becomes a ball through fixed_ball().
 
 Public evaluation entry points run inside compute_checked(), which executes
-the computation at target + guard digits and retries with a doubled guard if
-the radius ever exceeds the promised 10^(-target) * |x| budget, or if the
-computation raises PrecisionError.
+the computation at target + guard digits and, if the radius exceeds the
+promised 10^(-target) * |x| budget or the computation raises PrecisionError,
+retries wider: at W + 2(target - D) + guard digits or more when the ball at W
+digits still certifies D > 0, enough for an error that goes like a square root.
 """
 from __future__ import annotations
 
@@ -315,10 +316,26 @@ def rv_pi() -> RealValue:
     return _ball(m, _rounding(m._mpf_))
 
 
+def _next_attempt(spec: PrecisionSpec, attempt: PrecisionSpec, value) -> PrecisionSpec:
+    """widened(), or W + 2(target - D) + guard working digits if that is more and
+    the ball that missed certifies D > 0 digits, read from exponents: |m| >=
+    2^(exp + bc - 1) (1 for m = 0, as in meets) and the radius < 2^(exp + bc)."""
+    wider = attempt.widened()
+    if value is None or not value.error_bound._mpf_[1]:
+        return wider
+    (_, man, exp, bc), (_, _, r_exp, r_bc) = value.magnitude._mpf_, value.error_bound._mpf_
+    digits = math.floor(((exp + bc - 1 if man else 0) - r_exp - r_bc) * math.log10(2))
+    need = attempt.working_digits + 2 * (spec.target_digits - digits) + spec.guard_digits
+    if digits <= 0 or need <= wider.working_digits:
+        return wider
+    return PrecisionSpec(spec.target_digits, need - spec.target_digits)
+
+
 def compute_checked(spec: PrecisionSpec, builder):
-    """Run builder() at working precision; retry with wider guard bands until
-    the result honors spec's error budget.  A PrecisionError from builder()
-    asks for a wider guard too; the last one is raised if all attempts fail."""
+    """Run builder() at working precision; retry at the precision _next_attempt
+    reads from the ball that missed until the result honors spec's error
+    budget.  A PrecisionError from builder() asks for a wider guard too; the
+    last one is raised if all attempts fail."""
     attempt = spec
     for _ in range(4):
         try:
@@ -328,7 +345,7 @@ def compute_checked(spec: PrecisionSpec, builder):
             value, refused = None, exc
         if value is not None and value.meets(spec):
             return value
-        attempt = attempt.widened()
+        attempt = _next_attempt(spec, attempt, value)
     if value is None:
         raise refused
     raise PrecisionError(

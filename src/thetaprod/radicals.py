@@ -170,27 +170,28 @@ def render_radical(node) -> str:
     return f"({render_radical(node[1])} {op} {render_radical(node[2])})"
 
 
-def _eval_node(node) -> RealValue:
+def radical_value(node) -> RealValue:
+    """A parsed radical expression at the current mp.dps."""
     kind = node[0]
     if kind == "int":
         return RealValue.exact(node[1])
     if kind == "neg":
-        return -_eval_node(node[1])
+        return -radical_value(node[1])
     if kind == "add":
-        return _eval_node(node[1]) + _eval_node(node[2])
+        return radical_value(node[1]) + radical_value(node[2])
     if kind == "sub":
-        return _eval_node(node[1]) - _eval_node(node[2])
+        return radical_value(node[1]) - radical_value(node[2])
     if kind == "mul":
-        return _eval_node(node[1]) * _eval_node(node[2])
+        return radical_value(node[1]) * radical_value(node[2])
     if kind == "div":
-        return _eval_node(node[1]) / _eval_node(node[2])
+        return radical_value(node[1]) / radical_value(node[2])
     if kind == "sqrt":
-        base = _eval_node(node[1])
+        base = radical_value(node[1])
         if base.magnitude < 0:
             raise ValueError("square root of a negative value")
         return base.sqrt()
     if kind == "pow":
-        base = _eval_node(node[1])
+        base = radical_value(node[1])
         e = node[2]
         if e.denominator != 1 and base.magnitude <= 0:
             raise ValueError("fractional power of a nonpositive value")
@@ -200,7 +201,7 @@ def _eval_node(node) -> RealValue:
 
 def eval_radical(node, prec: PrecisionSpec) -> RealValue:
     """Evaluate a parsed radical expression at the requested precision."""
-    return compute_checked(prec, lambda: _eval_node(node))
+    return compute_checked(prec, lambda: radical_value(node))
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +302,12 @@ def definitional_value(rec: CorollaryRecord, prec: PrecisionSpec) -> RealValue:
     if rec.kind == "b":
         from .products import b_numeric
         return b_numeric(rec.params[0], rec.params[1], prec).value
-    from .invariants import g_numeric
+    from .invariants import g_numeric, invariant_value
     if rec.kind == "g":
         return g_numeric(rec.params[0], prec).value
-    first = g_numeric(rec.params[0], prec).value
-    second = g_numeric(rec.params[1], prec).value
-    with workdps(prec.working_digits):
-        return first * second
+    first, second = rec.params
+    return compute_checked(prec, lambda: invariant_value("g", first)
+                           * invariant_value("g", second))
 
 
 def verify_corollary(rec: CorollaryRecord, prec: PrecisionSpec) -> CorollaryCheck:

@@ -12,6 +12,7 @@ from thetaprod.invariants import (
     RootSelectionError,
     _companion_equation,
     g_numeric,
+    quad4_36_value,
     registry_lookup,
     solve_companion,
 )
@@ -138,7 +139,7 @@ def test_quad4_36_closed_form_step():
     # product g(8/3) g(24) must equal sqrt(1 + sqrt(3))
     with workdps(P60.working_digits):
         a = g_numeric(Fraction(2, 3), P60).value * g_numeric(6, P60).value
-        b = solve_companion("quad4_36", a, Fraction(2, 3), P60)
+        b = quad4_36_value(a)
         want = mp.sqrt(1 + mp.sqrt(3))
         assert digits_agreed(b.magnitude, want) >= 60
         direct = g_numeric(Fraction(8, 3), P60).value * g_numeric(24, P60).value

@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 from mpmath import mp, workdps
 
-from thetaprod import pipeline
+from thetaprod import invariants, pipeline, radicals
 from thetaprod.catalogue import CatalogueError, find_record, load_builtin, parse_catalogue
 from thetaprod.invariants import RootSelectionError
 from thetaprod.pipeline import (
@@ -43,34 +43,38 @@ def test_family_for_degree():
 def test_lambda_known_values_degree3():
     # m = 2 gives 2 sqrt(2), m = 4 gives 4 sqrt(2)
     with workdps(P60.working_digits):
-        l2 = lambda_value("n3", 2, P60)
+        l2 = lambda_value("n3", 2)
         assert abs(l2.value.magnitude - 2 * mp.sqrt(2)) < mp.mpf("1e-58")
         assert l2.construction == "registry product gg(6,2/3)"
-        l4 = lambda_value("n3", 4, P60)
+        l4 = lambda_value("n3", 4)
         assert abs(l4.value.magnitude - 4 * mp.sqrt(2)) < mp.mpf("1e-58")
         assert l4.construction == "registry product gg(12,4/3)"
 
 
 def test_lambda_construction_chain():
-    lam = lambda_value("n3", 8, P60)
-    assert lam.construction.startswith("quad4_36 step on registry product")
-    lam = lambda_value("n3", 10, P60)
-    assert lam.construction == "registry invariants g(30) * g(10/3)"
-    lam = lambda_value("n13", 6, P60)
-    assert lam.construction == "registry invariants g(78) / g(6/13)"
-    lam = lambda_value("n3", 6, P60)
-    assert lam.construction.startswith("numeric invariants")
+    with workdps(P60.working_digits):
+        lam = lambda_value("n3", 8)
+        assert lam.construction.startswith("quad4_36 step on registry product")
+        lam = lambda_value("n3", 10)
+        assert lam.construction == "registry invariants g(30) * g(10/3)"
+        lam = lambda_value("n13", 6)
+        assert lam.construction == "registry invariants g(78) / g(6/13)"
+        lam = lambda_value("n3", 6)
+        assert lam.construction.startswith("numeric invariants")
 
 
 def test_lambda_rejects_bad_input():
     with pytest.raises(ValueError, match="unknown family"):
-        lambda_value("n11", 2, P60)
+        lambda_value("n11", 2)
     with pytest.raises(ValueError, match="positive"):
-        lambda_value("n3", 0, P60)
+        lambda_value("n3", 0)
+    with pytest.raises(ValueError, match="unknown family"):
+        solve_pair("n11", 2, P60)
 
 
 def test_lambda_meets_requested_precision():
-    lam = lambda_value("n5", 6, P60)
+    with workdps(P60.working_digits):
+        lam = lambda_value("n5", 6)
     assert lam.value.meets(P60)
     assert lam.m == Fraction(6)
     assert lam.family == "n5"
@@ -81,8 +85,7 @@ def test_lambda_meets_requested_precision():
 # ---------------------------------------------------------------------------
 
 def solved_matches_definitional(family, degree, m, prec=P60):
-    lam = lambda_value(family, m, prec)
-    pair = solve_pair(family, lam, prec)
+    pair = solve_pair(family, m, prec)
     a_ref = a_numeric(m, degree, prec).value
     b_ref = b_numeric(4 * m, degree, prec).value
     with workdps(prec.working_digits):
@@ -106,30 +109,39 @@ def test_solve_recovers_both_products(family, degree, m):
 
 
 def test_solve_handles_degenerate_double_root():
-    # degree 5 at m = 2: both quadratics collapse to double roots, which
-    # forces the boosted-lambda interval path
+    # degree 5 at m = 2: both quadratics collapse to double roots, whose
+    # interval halves the digits; the second attempt is sized for that
     pair = solved_matches_definitional("n5", 5, 2)
     assert all(r.passed for r in pair.residuals)
 
 
-def test_solve_rejects_family_mismatch():
-    lam = lambda_value("n3", 2, P60)
-    with pytest.raises(ValueError, match="family"):
-        solve_pair("n5", lam, P60)
+def test_solve_detects_wrong_lambda(monkeypatch):
+    for family, m, wrong in (("n3", 2, 3), ("n5", 6, 7)):
+        bogus = LambdaValue(family, Fraction(m), RealValue.exact(wrong), "test")
+        monkeypatch.setattr(pipeline, "lambda_value", lambda *args, bogus=bogus: bogus)
+        with pytest.raises(RootSelectionError):
+            solve_pair(family, m, PrecisionSpec.of(40))
 
 
-def test_solve_detects_wrong_lambda():
-    bogus = LambdaValue("n3", Fraction(2), RealValue.exact(3), "test")
-    with pytest.raises(RootSelectionError):
-        solve_pair("n3", bogus, PrecisionSpec.of(40))
-    bogus = LambdaValue("n5", Fraction(6), RealValue.exact(7), "test")
-    with pytest.raises(RootSelectionError):
-        solve_pair("n5", bogus, PrecisionSpec.of(40))
+@pytest.mark.parametrize("family,m,construction", [
+    ("n3", 6, "numeric invariants"),
+    ("n3", 8, "quad4_36 step on registry product"),
+    ("n13", 6, "registry invariants"),
+])
+def test_solve_runs_in_one_precision_loop(monkeypatch, family, m, construction):
+    # lambda's legs are built inside solve_pair's own loop, never in a
+    # checked evaluation of their own
+    def refuse(*args):
+        raise AssertionError("nested compute_checked")
+    monkeypatch.setattr(invariants, "compute_checked", refuse)
+    monkeypatch.setattr(radicals, "compute_checked", refuse)
+    pair = solve_pair(family, m, P60)
+    assert pair.passed and pair.lam.construction.startswith(construction)
+    assert pair.a_value.meets(P60) and pair.b_value.meets(P60)
 
 
 def test_residuals_are_tiny_and_tolerated():
-    lam = lambda_value("n13", 6, P60)
-    pair = solve_pair("n13", lam, P60)
+    pair = solve_pair("n13", 6, P60)
     assert len(pair.residuals) == 2
     for r in pair.residuals:
         assert r.passed

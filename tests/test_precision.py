@@ -229,6 +229,21 @@ def test_compute_checked_retries_with_wider_guard():
     assert calls[1] > calls[0]
 
 
+def test_compute_checked_sizes_the_retry_from_the_missed_ball():
+    # a radius of 10^-(dps/2), as from a double root: the ball at 135 digits
+    # certifies about 66, so the retry goes to about 135 + 2 (100 - 66) + 35
+    # digits and meets the budget, where doubling the guard needs two retries
+    spec = PrecisionSpec(100, 35)
+    calls = []
+
+    def builder():
+        calls.append(mp.dps)
+        return RealValue(mpf(1), mpf(10) ** -(mp.dps // 2))
+
+    assert compute_checked(spec, builder).meets(spec)
+    assert len(calls) == 2
+
+
 def test_compute_checked_retries_a_refused_computation():
     spec = PrecisionSpec(50, 15)
     calls = []

@@ -138,9 +138,12 @@ def _scaled_slots(a: PowerSeries, lead: int, step: int, last: int) -> tuple[dict
             for e, c in kept.items()}, scale
 
 
-def _pack(slots: dict[int, int], width: int, length: int) -> int:
-    """Sum of slots[i] * 2^(8 * width * i); positive and negative parts are
-    laid out as unsigned bytes separately so that signed values pack exactly."""
+def pack(slots: Mapping[int, int], width: int, length: int) -> int:
+    """The integer polynomial sum of slots[i] x^i, 0 <= i < length, at
+    x = 2^(8 * width): one slot of `width` bytes per coefficient, each of
+    which must be less than 2^(8 * width) in absolute value.  Positive and
+    negative parts are laid out as unsigned bytes separately so that signed
+    values pack exactly."""
     pos, neg = bytearray(width * length), bytearray(width * length)
     for i, c in slots.items():
         if c > 0:
@@ -168,7 +171,7 @@ def mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     # operand); one more bit holds the sign, and slots are whole bytes
     bound = max(map(abs, sa.values())) * max(map(abs, sb.values())) * min(len(sa), len(sb))
     width = (bound.bit_length() + 8) // 8
-    product = _pack(sa, width, max(sa) + 1) * _pack(sb, width, max(sb) + 1)
+    product = pack(sa, width, max(sa) + 1) * pack(sb, width, max(sb) + 1)
     # a bias of half a slot in every slot makes each slot's value nonnegative;
     # the slots up to the order then read back exactly, whatever lies above them
     slots = top_exponent // step + 1
@@ -191,31 +194,33 @@ def invert(a: PowerSeries) -> PowerSeries:
     With leading exponent l and order N, the inverse is sound to order N - 2l:
     the coefficient of the inverse at -l + t consumes input coefficients up to
     l + t, so t may run to N - l.
+
+    Integral coefficients enter the recurrence as ints and 1/c0 is an int
+    when c0 = +-1, so inverting an eta-quotient series builds no Fraction
+    until the output is stored.
     """
     lead = a.leading_exponent()
     if lead is None:
         raise ValueError("cannot invert a series that is zero up to its truncation order")
-    c0 = a.coeffs[lead]
     order = a.order - 2 * lead
+    r0 = 1 / a.coeffs[lead]
     if len(a.coeffs) == 1:
-        return PowerSeries.monomial(1 / c0, -lead, order)
-    offsets = sorted(e - lead for e in a.coeffs if e != lead)
-    step = 0
-    for d in offsets:
-        step = gcd(step, d)
-    inv: dict[int, Fraction] = {0: 1 / c0}
-    tmax = a.order - lead
-    for t in range(step, tmax + 1, step):
-        acc = Fraction(0)
-        for d in offsets:
+        return PowerSeries.monomial(r0, -lead, order)
+    if r0.denominator == 1:
+        r0 = r0.numerator
+    step = gcd(*(e - lead for e in a.coeffs))
+    # (offset from the lead in steps, coefficient), in increasing offset
+    terms = sorted(((e - lead) // step, c.numerator if c.denominator == 1 else c)
+                   for e, c in a.coeffs.items() if e != lead)
+    inv = [r0]
+    for t in range(1, (a.order - lead) // step + 1):
+        acc = 0
+        for d, c in terms:
             if d > t:
                 break
-            prev = inv.get(t - d)
-            if prev is not None:
-                acc += a.coeffs[lead + d] * prev
-        if acc:
-            inv[t] = -acc / c0
-    out = {t - lead: c for t, c in inv.items() if t - lead <= order}
+            acc += c * inv[t - d]
+        inv.append(-acc * r0)
+    out = {t * step - lead: c for t, c in enumerate(inv) if c and t * step - lead <= order}
     return PowerSeries(_clean(out, order), order)
 
 

@@ -3,20 +3,27 @@
 Each identity is checked two ways: numerically, by evaluating both eta
 quotients at a probe q and substituting into the cleared relation polynomial;
 and exactly, by expanding both quotients as Laurent series on the 1/24
-lattice and asserting every coefficient cancels up to a sound order.
+lattice and asserting every coefficient cancels up to a sound order.  The
+exact check sums the relation's monomials in Z[x]/(x^n) packed into one
+integer modulo 2^(W n), with W a proved bound on the residual's
+coefficients, so that it needs no rational arithmetic after the expansion.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import gcd, lcm
+from typing import NamedTuple
 
 from mpmath import mp, mpf, workdps
+from mpmath.libmp import from_int, from_man_exp, from_rational, mpf_mul, mpf_pow_int
 
 from .blocks import block_value, nome, quotient_value
 from .catalogue import IdentityRecord
 from .precision import PrecisionSpec, RealValue
-from .series import PowerSeries, SeriesCheck, mul, pow_int, scalar_mul
+from .series import SeriesCheck, pack
 
 PROBE_FRACTIONS = (Fraction(1, 100), Fraction(1, 20),
                    Fraction(1, 10), Fraction(1, 5))
@@ -108,47 +115,146 @@ def verify_numeric(rec: IdentityRecord, q, prec: PrecisionSpec) -> Residual:
 # exact-series check
 # ---------------------------------------------------------------------------
 
-def verify_series(rec: IdentityRecord, order: int) -> SeriesCheck:
-    """Expand the cleared relation to the requested lattice order; every
-    coefficient must cancel exactly.  Returns the first surviving exponent
-    on failure.
+class _Ring(NamedTuple):
+    """The cleared relation in Z[x]/(x^slots), where slot k stands for the
+    lattice exponent lead + step*k, packed at x = 2^(8*width)."""
+    lead: int     # smallest monomial shift i*lead(P) + j*lead(Q)
+    step: int
+    slots: int
+    width: int
+    p: dict[int, int]   # slot -> coefficient of U = q^-lead(P) P
+    q: dict[int, int]   # and of V = q^-lead(Q) Q
+    terms: list[tuple[int, int, int, int]]   # (i, j, integer coefficient, slot shift)
 
-    Input orders are chosen so each monomial P^i Q^j is sound at `order`:
-    a product's sound order is its factor's order plus the other factor's
-    leading exponent, so P must be built to order - (i-1)*lead(P) - j*lead(Q)
-    for the worst monomial, and symmetrically for Q.
-    """
-    if order < 24:
-        raise ValueError("series verification requires order >= 24")
+
+def _integral_slots(coeffs: dict[int, Fraction], lead: int, step: int,
+                    length: int) -> dict[int, int]:
+    """The coefficients at lead + step*k, k < length, keyed by k."""
+    out = {}
+    for e, c in coeffs.items():
+        k = (e - lead) // step
+        if k < length:
+            if c.denominator != 1:
+                raise ValueError(f"coefficient {c} at lattice exponent {e} is not an integer")
+            out[k] = c.numerator
+    return out
+
+
+def _majorant(slots: dict[int, int], t: int) -> tuple:
+    """sum |s_k| r^k at r = 1 - 2^-t, by Horner's rule in fixed point with 64
+    fraction bits, each step rounded up; a raw mpf rounded up to 64 bits."""
+    acc, shrink = 0, (1 << t) - 1
+    for k in range(max(slots, default=-1), -1, -1):
+        acc = -(-acc * shrink >> t) + (abs(slots.get(k, 0)) << 64)
+    return from_man_exp(acc, -64, 64, "u")
+
+
+def _slot_width(terms, p: dict[int, int], q: dict[int, int], slots: int) -> int:
+    """Bytes per slot such that every residual coefficient below x^slots is
+    less than 2^(8*width) in absolute value.
+
+    Cauchy's bound: for 0 < r <= 1 every coefficient at slot k <= K of
+    U^i V^j is at most |U|(r)^i |V|(r)^j r^-K, where |S|(r) is the sum of
+    |s_k| r^k.  A monomial shifted by d slots is read up to K = slots-1-d.
+    Each monomial takes the best r = 1 - 2^-t, t = 2..6, and the sum over
+    the monomials adds ceil(log2(#monomials)) bits.  The same bound covers
+    every coefficient of U and V that gets packed, since |U|(r), |V|(r) >= 1
+    and each is packed only on the slots some monomial reads.  The bounds
+    are raw mpfs with 64-bit mantissas, every operation rounded up."""
+    radii = [(_majorant(p, t), _majorant(q, t),
+              from_rational(1 << t, (1 << t) - 1, 64, "u"))    # 1/r
+             for t in range(2, 7)]
+
+    power = cache(lambda base, k: mpf_pow_int(base, k, 64, "u"))
+
+    def bits(i: int, j: int, c: int, shift: int, bases) -> int:
+        bound = from_int(abs(c))
+        for base, k in zip(bases, (i, j, slots - 1 - shift)):
+            bound = mpf_mul(bound, power(base, k), 64, "u")
+        _, _, exp, bc = bound
+        return exp + bc     # bound < 2^(exp + bc)
+
+    worst = max((min(bits(*term, r) for r in radii) for term in terms), default=0)
+    return -(-(worst + (len(terms) - 1).bit_length()) // 8)
+
+
+def _ring(rec: IdentityRecord, order: int) -> _Ring:
+    """Lay out the relation to `order`.  P and Q are built to the orders at
+    which every monomial P^i Q^j is sound: a product's sound order is its
+    factor's order plus the other factor's leading exponent."""
     lp = rec.p_expr.lattice_shift
     lq = rec.q_expr.lattice_shift
     monomials = sorted(rec.relation_poly.terms.items())
     need_p = [order - (i - 1) * lp - j * lq for (i, j), _ in monomials if i >= 1]
     need_q = [order - (j - 1) * lq - i * lp for (i, j), _ in monomials if j >= 1]
-    p_top = max((i for (i, _), _ in monomials), default=0)
-    q_top = max((j for (_, j), _ in monomials), default=0)
+    p = rec.p_expr.to_series(max(need_p)).coeffs if need_p else {}
+    q = rec.q_expr.to_series(max(need_q)).coeffs if need_q else {}
 
-    p_pows = _power_table(rec.p_expr.to_series(max(need_p)), p_top, mul) if need_p else {}
-    q_pows = _power_table(rec.q_expr.to_series(max(need_q)), q_top, mul) if need_q else {}
+    shifts = [i * lp + j * lq for (i, j), _ in monomials]
+    lead = min(shifts)
+    step = gcd(*(e - lp for e in p), *(e - lq for e in q),
+               *(s - lead for s in shifts)) or 1
+    slots = max((order - lead) // step + 1, 0)
+    scale = lcm(*(c.denominator for _, c in monomials))
+    terms = [(i, j, c.numerator * (scale // c.denominator), (s - lead) // step)
+             for ((i, j), c), s in zip(monomials, shifts) if s <= order]
+    # P and Q only on the slots some monomial reads
+    p_slots = _integral_slots(p, lp, step, slots - min(
+        (d for i, _, _, d in terms if i), default=slots))
+    q_slots = _integral_slots(q, lq, step, slots - min(
+        (d for _, j, _, d in terms if j), default=slots))
+    return _Ring(lead, step, slots, _slot_width(terms, p_slots, q_slots, slots),
+                 p_slots, q_slots, terms)
 
-    acc = PowerSeries.zero(order)
-    for (i, j), c in monomials:
-        if i and j:
-            term = mul(p_pows[i], q_pows[j])
-        elif i:
-            term = p_pows[i]
-        elif j:
-            term = q_pows[j]
-        else:
-            term = PowerSeries.from_terms({0: Fraction(1)}, order)
-        acc = acc + scalar_mul(c, term)
-    if acc.order < order:
-        raise AssertionError("internal: accumulated order fell below request")
 
-    bad = [e for e, c in acc.coeffs.items() if c and e <= order]
-    if bad:
-        return SeriesCheck(False, min(bad))
-    return SeriesCheck(True, None)
+def verify_series(rec: IdentityRecord, order: int) -> SeriesCheck:
+    """Expand the cleared relation to the requested lattice order; every
+    coefficient must cancel exactly.  Returns the first surviving exponent
+    on failure.
+
+    U = q^-lead(P) P and V = q^-lead(Q) Q are eta quotients with lead
+    coefficient 1, so their coefficients are integers, and the relation's
+    coefficients are scaled to integers by the lcm of their denominators.
+    The residual, the sum of c x^d U^i V^j over the monomials, is evaluated
+    in Z[x]/(x^n): x stands for q^(step/24), d places each monomial's
+    q-prefix, and the n slots reach `order`.  Substituting x = 2^W is a ring
+    homomorphism from Z[x]/(x^n) onto the integers modulo 2^(W n), so each
+    truncated product is one big-int multiply and one mask, and nothing is
+    read back until the end.  W is a proved bound (see `_slot_width`):
+    every residual coefficient below x^n is less than 2^W in absolute value.
+    So the packed residual is 0 exactly when the residual vanishes to
+    `order`, and otherwise its lowest set bit lies in the slot of the first
+    nonzero coefficient.
+    """
+    if order < 24:
+        raise ValueError("series verification requires order >= 24")
+    ring = _ring(rec, order)
+    bits = 8 * ring.width
+    mask = (1 << bits * ring.slots) - 1
+
+    def times(a: int, b: int) -> int:
+        return a * b & mask
+
+    def powers(slots: dict[int, int], used: list[int]) -> dict[int, int]:
+        # the relations use only multiples of d, the gcd of their exponents
+        table = {0: 1}
+        if any(used):
+            d = gcd(*used)
+            base = pow(pack(slots, ring.width, ring.slots), d) & mask
+            table.update((d * k, v) for k, v in
+                         _power_table(base, max(used) // d, times).items())
+        return table
+
+    p_pows = powers(ring.p, [i for i, _, _, _ in ring.terms])
+    q_pows = powers(ring.q, [j for _, j, _, _ in ring.terms])
+    rows: dict[int, int] = {}    # i -> sum over j of c x^shift V^j
+    for i, j, c, shift in ring.terms:
+        rows[i] = rows.get(i, 0) + (c * q_pows[j] << bits * shift)
+    residual = sum(p_pows[i] * (row & mask) for i, row in rows.items()) & mask
+    if not residual:
+        return SeriesCheck(True, None)
+    lowest = (residual & -residual).bit_length() - 1
+    return SeriesCheck(False, ring.lead + ring.step * (lowest // bits))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the dual verification engine."""
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
@@ -10,10 +11,13 @@ from mpmath import mp, mpf, workdps
 from thetaprod.catalogue import find_record, load_builtin, parse_catalogue
 from thetaprod.precision import PrecisionSpec, RealValue
 from thetaprod.blocks import quotient_value
-from thetaprod.verify import (Residual, default_probes, default_tolerance,
-                              normalized_residual, probe_value,
-                              verify_multiplier13, verify_numeric,
-                              verify_series)
+from thetaprod.quotient import EtaQuotient
+from thetaprod.relation import Poly2
+from thetaprod.series import PowerSeries, SeriesCheck, mul, scalar_mul
+from thetaprod.verify import (Residual, _ring, default_probes,
+                              default_tolerance, normalized_residual,
+                              probe_value, verify_multiplier13,
+                              verify_numeric, verify_series)
 
 P50 = PrecisionSpec.of(50)
 RECORDS = load_builtin()
@@ -166,6 +170,113 @@ def test_dual_agreement_smoke():
         assert verify_series(rec, 24 * 10).ok
         for q in ("1/20", "1/5"):
             assert verify_numeric(rec, q, P50).passed
+
+
+# ---------------------------------------------------------------------------
+# verify_series against the dict-based reference
+# ---------------------------------------------------------------------------
+
+def reference_terms(rec, order: int) -> list[tuple[Fraction, PowerSeries]]:
+    """Each monomial's coefficient c and P^i Q^j, by sparse-series
+    arithmetic, with P and Q built to the orders verify_series uses."""
+    lp = rec.p_expr.lattice_shift
+    lq = rec.q_expr.lattice_shift
+    monomials = sorted(rec.relation_poly.terms.items())
+    need_p = [order - (i - 1) * lp - j * lq for (i, j), _ in monomials if i >= 1]
+    need_q = [order - (j - 1) * lq - i * lp for (i, j), _ in monomials if j >= 1]
+
+    def powers(expr, need, top):
+        table = {0: PowerSeries.one(order)}
+        if need:
+            base = expr.to_series(max(need))
+            table[1] = base
+            for k in range(2, top + 1):
+                table[k] = mul(table[k - 1], base)
+        return table
+
+    p_pows = powers(rec.p_expr, need_p, max(i for (i, _), _ in monomials))
+    q_pows = powers(rec.q_expr, need_q, max(j for (_, j), _ in monomials))
+    terms = []
+    for (i, j), c in monomials:
+        if i and j:
+            term = mul(p_pows[i], q_pows[j])
+        else:
+            term = p_pows[i] if i else q_pows[j]
+        terms.append((c, term))
+    return terms
+
+
+def reference_series(rec, order: int) -> SeriesCheck:
+    acc = PowerSeries.zero(order)
+    for c, term in reference_terms(rec, order):
+        acc = acc + scalar_mul(c, term)
+    assert acc.order >= order
+    bad = [e for e, c in acc.coeffs.items() if c and e <= order]
+    return SeriesCheck(False, min(bad)) if bad else SeriesCheck(True, None)
+
+
+def with_terms(rec, terms):
+    return replace(rec, relation_poly=Poly2(terms))
+
+
+def scaled(rec, factor: Fraction):
+    return with_terms(rec, {m: factor * c for m, c in rec.relation_poly.terms.items()})
+
+
+ORACLE_ORDERS = (24, 48, 240, 720)
+(DUP3_WRONG_CONSTANT,) = [r for r in mutated("P*Q + 9/(P*Q)", "P*Q + 8/(P*Q)")
+                          if r.id == "dup3"]
+MUTANTS = {
+    "dup3-wrong-constant": DUP3_WRONG_CONSTANT,
+    "quad13-830": next(r for r in mutated("829*(P/Q + Q/P)^4", "830*(P/Q + Q/P)^4")
+                       if r.id == "quad13"),
+    # rational relation coefficients with denominators 2, 3 and 6
+    "dup3-sixth": scaled(find_record(RECORDS, "dup3"), Fraction(1, 6)),
+    "dup3-wrong-constant-sixth": scaled(DUP3_WRONG_CONSTANT, Fraction(1, 6)),
+}
+
+
+@pytest.mark.parametrize("rec", list(RECORDS) + list(MUTANTS.values()),
+                         ids=[r.id for r in RECORDS] + list(MUTANTS))
+def test_series_matches_reference_oracle(rec):
+    for order in ORACLE_ORDERS:
+        assert verify_series(rec, order) == reference_series(rec, order), order
+
+
+def test_series_reads_a_residual_at_the_edge_of_its_slot():
+    # adding 2^k * P^i Q^j leaves the residual 2^k at the monomial's shift,
+    # and when that term is the widest the slot width W is only a few bits
+    # above k: a slot even a byte narrower than the bound would move the
+    # lowest set bit into a later slot, or past the mask when the shift is
+    # the last slot (rec13's Q at order 24)
+    tight = 0
+    for rid, monomial, exponent in (("dup3", (0, 0), 0), ("rec13", (0, 1), 24)):
+        base = find_record(RECORDS, rid)
+        for k in range(120, 128):
+            bad = with_terms(base, {**base.relation_poly.terms, monomial: Fraction(2 ** k)})
+            for order in (24, 240):
+                expected = SeriesCheck(False, exponent)
+                assert reference_series(bad, order) == expected
+                assert verify_series(bad, order) == expected, (rid, k, order)
+                tight += 8 * _ring(bad, order).width - 8 <= k
+    assert tight
+
+
+@pytest.mark.parametrize("rec", RECORDS, ids=lambda r: r.id)
+def test_slot_width_bounds_every_monomial_coefficient(rec):
+    for order in (240, 2400):
+        largest = max(abs(c * v) for c, term in reference_terms(rec, order)
+                      for e, v in term.coeffs.items() if e <= order)
+        assert largest.denominator == 1
+        assert 8 * _ring(rec, order).width > largest.numerator.bit_length(), order
+
+
+def test_series_rejects_a_non_integral_quotient_coefficient(monkeypatch):
+    to_series = EtaQuotient.to_series
+    monkeypatch.setattr(EtaQuotient, "to_series",
+                        lambda self, order: scalar_mul(Fraction(1, 2), to_series(self, order)))
+    with pytest.raises(ValueError, match="not an integer"):
+        verify_series(find_record(RECORDS, "dup3"), 48)
 
 
 # ---------------------------------------------------------------------------

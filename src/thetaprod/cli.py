@@ -13,6 +13,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from mpmath import mp, workdps
 
@@ -27,6 +28,7 @@ from .radicals import (
     eval_radical,
     load_builtin_registry,
     parse_registry,
+    registry_by_id,
     registry_find,
     verify_corollary,
 )
@@ -124,26 +126,21 @@ def _fraction(text: str, what: str) -> Fraction:
     return value
 
 
-def _load_catalogue(args):
-    if args.catalogue is None:
-        return load_builtin()
+def _load(args, what: str):
+    """The builtin "catalogue" or "registry", or the file its option names."""
+    if what == "catalogue":
+        builtin, parse, error = load_builtin, parse_catalogue, CatalogueError
+    else:
+        builtin, parse, error = load_builtin_registry, parse_registry, RadicalError
+    path = getattr(args, what)
+    if path is None:
+        return builtin()
     try:
-        return parse_catalogue(open(args.catalogue).read())
+        return parse(Path(path).read_text())
     except OSError as exc:
-        raise UsageError(f"cannot read catalogue: {exc}")
-    except CatalogueError as exc:
-        raise UsageError(f"malformed catalogue: {exc}")
-
-
-def _load_registry(args):
-    if args.registry is None:
-        return load_builtin_registry()
-    try:
-        return parse_registry(open(args.registry).read())
-    except OSError as exc:
-        raise UsageError(f"cannot read registry: {exc}")
-    except RadicalError as exc:
-        raise UsageError(f"malformed registry: {exc}")
+        raise UsageError(f"cannot read {what}: {exc}")
+    except error as exc:
+        raise UsageError(f"malformed {what}: {exc}")
 
 
 def _parse_probes(text):
@@ -170,6 +167,21 @@ def _mpf_str(x, digits: int) -> str:
     return mp.nstr(x, digits, strip_zeros=False)
 
 
+def _value_details(value, prec, **params) -> dict:
+    """params, then the value to the target digits and its error bound."""
+    with workdps(prec.working_digits):
+        return {**params, "value": _mpf_str(value.magnitude, prec.target_digits),
+                "error_bound": _mpf_str(value.error_bound, 3)}
+
+
+def _residual_details(res, prec) -> dict:
+    """The residual's upper bound and the tolerance it was held to."""
+    with workdps(prec.working_digits):
+        return {"residual": _mpf_str(abs(res.value.magnitude)
+                                     + res.value.error_bound, 3),
+                "tolerance": _mpf_str(res.tolerance, 3)}
+
+
 # ---------------------------------------------------------------------------
 # command implementations; each returns a list of CheckRecords
 # ---------------------------------------------------------------------------
@@ -179,22 +191,14 @@ def _cmd_eval_product(args, prec):
     n = _fraction(args.n, "n")
     fn = a_numeric if args.command == "eval-a" else b_numeric
     which = "a" if args.command == "eval-a" else "b"
-    value = fn(m, n, prec).value
-    with workdps(prec.working_digits):
-        details = {"m": str(m), "n": str(n),
-                   "value": _mpf_str(value.magnitude, prec.target_digits),
-                   "error_bound": _mpf_str(value.error_bound, 3)}
+    details = _value_details(fn(m, n, prec).value, prec, m=str(m), n=str(n))
     return [CheckRecord(f"{which}({m},{n})", "value", "pass", details)]
 
 
 def _cmd_eval_invariant(args, prec, registry):
     n = _fraction(args.n, "n")
     fn = g_numeric if args.kind == "g" else G_numeric
-    inv = fn(n, prec)
-    with workdps(prec.working_digits):
-        details = {"n": str(n),
-                   "value": _mpf_str(inv.value.magnitude, prec.target_digits),
-                   "error_bound": _mpf_str(inv.value.error_bound, 3)}
+    details = _value_details(fn(n, prec).value, prec, n=str(n))
     rec = registry_find(registry, "g", n) if args.kind == "g" else None
     if rec is not None:
         details["closed_form"] = rec.expr_text
@@ -205,11 +209,7 @@ def _cmd_eval_invariant(args, prec, registry):
 def _cmd_eval_nome(args, prec):
     m = _fraction(args.m, "m")
     n = _fraction(args.n, "n")
-    point = nome(m, n, prec)
-    with workdps(prec.working_digits):
-        details = {"m": str(m), "n": str(n),
-                   "value": _mpf_str(point.q.magnitude, prec.target_digits),
-                   "error_bound": _mpf_str(point.q.error_bound, 3)}
+    details = _value_details(nome(m, n, prec).q, prec, m=str(m), n=str(n))
     return [CheckRecord(f"nome({m},{n})", "value", "pass", details)]
 
 
@@ -241,13 +241,9 @@ def _identity_checks(catalogue, ident, prec, do_series, do_numeric,
             probes = custom if custom is not None else default_probes(rec, prec)
             for label, q in probes:
                 res = verify_numeric(rec, q, prec)
-                with workdps(prec.working_digits):
-                    out.append(CheckRecord(
-                        f"{rec.id} numeric {label}", "identity-numeric",
-                        res.verdict,
-                        {"residual": _mpf_str(abs(res.value.magnitude)
-                                              + res.value.error_bound, 3),
-                         "tolerance": _mpf_str(res.tolerance, 3)}))
+                out.append(CheckRecord(
+                    f"{rec.id} numeric {label}", "identity-numeric",
+                    res.verdict, _residual_details(res, prec)))
         if do_series:
             chk = verify_series(rec, series_order)
             details = {"order": series_order}
@@ -262,18 +258,10 @@ def _identity_checks(catalogue, ident, prec, do_series, do_numeric,
 def _corollary_records(ident, registry):
     if ident == "all":
         return list(registry)
-    parts = ident.split("_")
-    known = [f"{r.kind}_{'_'.join(str(p) for p in r.params)}" for r in registry]
-    if len(parts) >= 2 and parts[0] in ("g", "gg", "a", "b"):
-        try:
-            params = tuple(Fraction(p) for p in parts[1:])
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"unknown id {ident!r}; known ids: "
-                             + ", ".join(known))
-        rec = registry_find(registry, parts[0], *params)
-        if rec is not None:
-            return [rec]
-    raise UsageError(f"unknown id {ident!r}; known ids: " + ", ".join(known))
+    try:
+        return [registry_by_id(registry, ident)]
+    except KeyError as exc:
+        raise UsageError(str(exc.args[0]))
 
 
 def _corollary_checks(records, prec):
@@ -336,12 +324,8 @@ def _suite_invariant_checks(prec, registry):
                      ("q=nome(1,13)", None)):
         qv = nome(1, 13, mult_prec).q if q is None else q
         res = verify_multiplier13(qv, mult_prec)
-        with workdps(mult_prec.working_digits):
-            out.append(CheckRecord(
-                f"multiplier13 {label}", "invariant", res.verdict,
-                {"residual": _mpf_str(abs(res.value.magnitude)
-                                      + res.value.error_bound, 3),
-                 "tolerance": _mpf_str(res.tolerance, 3)}))
+        out.append(CheckRecord(f"multiplier13 {label}", "invariant",
+                               res.verdict, _residual_details(res, mult_prec)))
     return out
 
 
@@ -367,21 +351,21 @@ def run(args) -> RunReport:
     if args.command in ("eval-a", "eval-b"):
         records = _cmd_eval_product(args, prec)
     elif args.command == "eval-invariant":
-        records = _cmd_eval_invariant(args, prec, _load_registry(args))
+        records = _cmd_eval_invariant(args, prec, _load(args, "registry"))
     elif args.command == "eval-nome":
         records = _cmd_eval_nome(args, prec)
     elif args.command == "verify-identity":
-        records = _cmd_verify_identity(args, prec, _load_catalogue(args))
+        records = _cmd_verify_identity(args, prec, _load(args, "catalogue"))
     elif args.command == "verify-corollary":
-        registry = _load_registry(args)
+        registry = _load(args, "registry")
         records = _corollary_checks(_corollary_records(args.id, registry), prec)
     elif args.command == "reproduce":
-        registry = _load_registry(args)
+        registry = _load(args, "registry")
         ids = reproduce_ids(registry) if args.id == "all" else [args.id]
         records = _reproduce_checks(ids, prec, registry)
     elif args.command == "run-suite":
-        records = _cmd_run_suite(args, prec, _load_catalogue(args),
-                                 _load_registry(args))
+        records = _cmd_run_suite(args, prec, _load(args, "catalogue"),
+                                 _load(args, "registry"))
     else:
         raise UsageError(f"unknown command {args.command!r}")
 

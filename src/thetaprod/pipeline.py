@@ -41,18 +41,20 @@ from .catalogue import CatalogueError, find_record, load_builtin
 from .invariants import RootSelectionError, invariant_value, quad4_36_value
 from .precision import (PrecisionSpec, RealValue, compute_checked, digits_agreed,
                         radius_add, radius_div, radius_sqrt)
-from .products import a_numeric, b_numeric
+from .products import product_value
 from .radicals import (
     CorollaryRecord,
     definitional_value,
     eval_radical,
     load_builtin_registry,
     radical_value,
+    registry_by_id,
     registry_find,
 )
 from .verify import Residual, default_tolerance, normalized_residual
 
 FAMILIES = {"n3": 3, "n5": 5, "n7": 7, "n13": 13}
+PRODUCT_KINDS = ("a", "b")
 
 
 def family_for_degree(degree) -> str:
@@ -301,9 +303,10 @@ def solve_pair(family: str, m, prec: PrecisionSpec, records=None) -> SolvedPair:
     both within prec's budget."""
     degree, m = _degree(family, m)
     recs = load_builtin_registry() if records is None else records
+    # single-form seeds: they only choose the quadratics' roots
     boot_spec = PrecisionSpec.of(20)
-    a0 = a_numeric(m, degree, boot_spec).value.magnitude
-    b0 = b_numeric(4 * m, degree, boot_spec).value.magnitude
+    a0 = compute_checked(boot_spec, lambda: product_value("a", m, degree)).magnitude
+    b0 = compute_checked(boot_spec, lambda: product_value("b", 4 * m, degree)).magnitude
     (kx, x_terms), (ky, y_terms) = _equations()[family]
     one = RealValue.exact(1)
     solved = []
@@ -370,26 +373,7 @@ class ReproduceReport:
 
 def reproduce_ids(records=None) -> list[str]:
     recs = load_builtin_registry() if records is None else records
-    out = []
-    for rec in recs:
-        if rec.kind in ("a", "b"):
-            out.append(f"{rec.kind}_{rec.params[0]}_{rec.params[1]}")
-    return out
-
-
-def _parse_product_id(pid: str, recs) -> CorollaryRecord:
-    parts = pid.split("_")
-    known = reproduce_ids(recs)
-    if len(parts) != 3 or parts[0] not in ("a", "b"):
-        raise KeyError(f"unknown id {pid!r}; known ids: {', '.join(known)}")
-    try:
-        m, n = Fraction(parts[1]), Fraction(parts[2])
-    except (ValueError, ZeroDivisionError):
-        raise KeyError(f"unknown id {pid!r}; known ids: {', '.join(known)}")
-    rec = registry_find(recs, parts[0], m, n)
-    if rec is None:
-        raise KeyError(f"unknown id {pid!r}; known ids: {', '.join(known)}")
-    return rec
+    return [rec.id for rec in recs if rec.kind in PRODUCT_KINDS]
 
 
 def reproduce_corollary(pid: str, prec: PrecisionSpec,
@@ -397,7 +381,7 @@ def reproduce_corollary(pid: str, prec: PrecisionSpec,
     """Three-way check of one registry product entry: closed form vs the
     quadratic pipeline vs the definitional theta-block value."""
     recs = load_builtin_registry() if records is None else records
-    rec = _parse_product_id(pid, recs)
+    rec = registry_by_id(recs, pid, PRODUCT_KINDS)
     n = rec.params[1]
     family = family_for_degree(n)
     m = rec.params[0] / 4 if rec.kind == "b" else rec.params[0]

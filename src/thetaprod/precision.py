@@ -69,9 +69,6 @@ class PrecisionSpec:
     def working_digits(self) -> int:
         return self.target_digits + self.guard_digits
 
-    def budget(self) -> mpf:
-        return mpf(10) ** (-self.target_digits)
-
     def widened(self) -> PrecisionSpec:
         return PrecisionSpec(self.target_digits, 2 * self.guard_digits + 10)
 

@@ -1,18 +1,17 @@
 """Numeric evaluation of the two theta-quotient products a and b.
 
 Both products live at the nome q = exp(-pi*sqrt(m/n)).  Each admits several
-classically equivalent theta-block forms; every public evaluation computes
-all applicable forms and insists they agree to target precision.  The nome
-and the forms are computed in one compute_checked call, which widens the
-working precision until every form meets the budget; a disagreement left
-after that can only mean a transcription or evaluation bug, so it is a
-hard error rather than a warning.
+classically equivalent theta-block forms, and every form is one formula,
 
-Form labels:
-  psi_phi_even     n * q^((n-1)/4) * psi^2(q^n) phi^2(-q^2n) / (psi^2(q) phi^2(-q^2))
-  psi_phi_twisted  n * q^((n-1)/4) * psi^2(-q^n) phi^2(q^n) / (psi^2(-q) phi^2(q))
-  psi_phi_odd      n * q^((n-1)/4) * psi^2(q^n) phi^2(-q^n) / (psi^2(q) phi^2(-q))
-  euler_quotient   via sqrt(n/value) as a quotient of f-blocks
+    n * q^((n-1)/4) * prod over its blocks B of (B(q^n) / B(q))^2,
+
+over the blocks that FORMS lists for it.  a_numeric and b_numeric compute
+all of a product's forms and insist they agree to target precision.  The
+nome and the forms are computed in one compute_checked call, which widens
+the working precision until every form meets the budget; a disagreement
+left after that can only mean a transcription or evaluation bug, so it is
+a hard error rather than a warning.  product_value is the single-form
+evaluation at the current precision.
 """
 from __future__ import annotations
 
@@ -23,8 +22,18 @@ from .blocks import block_value, nome_value
 from .precision import (PrecisionSpec, RealValue, compute_checked, digits_agreed,
                         radius_div)
 
-A_FORMS = ("psi_phi_even", "psi_phi_twisted", "euler_quotient")
-B_FORMS = ("psi_phi_odd", "euler_quotient")
+# product -> form -> its blocks, each (block kind, k) for B(x) = kind(x^k).
+# An euler_quotient form is n / root^2 with root = q^(-(n-1)/8) F(q)/F(q^n),
+# F the product of its f-blocks: the same formula.
+FORMS = {
+    "a": {"psi_phi_even": (("psi_plus", 1), ("phi_minus", 2)),
+          "psi_phi_twisted": (("psi_minus", 1), ("phi_plus", 1)),
+          "euler_quotient": (("f_plus", 1), ("f_minus", 2))},
+    "b": {"psi_phi_odd": (("psi_plus", 1), ("phi_minus", 1)),
+          "euler_quotient": (("f_minus", 1), ("f_minus", 2))},
+}
+A_FORMS = tuple(FORMS["a"])
+B_FORMS = tuple(FORMS["b"])
 
 
 class CrossFormError(ArithmeticError):
@@ -42,38 +51,24 @@ class ProductValue:
 
 def _form_value(which: str, form: str, n: Fraction, q: RealValue) -> RealValue:
     qn = q.powf(n)
-    prefactor = RealValue.from_fraction(n) * q.powf((n - 1) / 4)
-    if form == "psi_phi_even":
-        num = block_value("psi_plus", 1, qn).powi(2) * block_value("phi_minus", 2, qn).powi(2)
-        den = block_value("psi_plus", 1, q).powi(2) * block_value("phi_minus", 2, q).powi(2)
-        return prefactor * num / den
-    if form == "psi_phi_twisted":
-        num = block_value("psi_minus", 1, qn).powi(2) * block_value("phi_plus", 1, qn).powi(2)
-        den = block_value("psi_minus", 1, q).powi(2) * block_value("phi_plus", 1, q).powi(2)
-        return prefactor * num / den
-    if form == "psi_phi_odd":
-        num = block_value("psi_plus", 1, qn).powi(2) * block_value("phi_minus", 1, qn).powi(2)
-        den = block_value("psi_plus", 1, q).powi(2) * block_value("phi_minus", 1, q).powi(2)
-        return prefactor * num / den
-    if form == "euler_quotient":
-        # sqrt(n/value) expressed through f-blocks; value = n / (quotient)^2
-        shift = q.powf((n - 1) / 8)
-        if which == "a":
-            num = block_value("f_plus", 1, q) * block_value("f_minus", 2, q)
-            den = shift * block_value("f_plus", 1, qn) * block_value("f_minus", 2, qn)
-        else:
-            num = block_value("f_minus", 1, q) * block_value("f_minus", 2, q)
-            den = shift * block_value("f_minus", 1, qn) * block_value("f_minus", 2, qn)
-        root = num / den
-        return RealValue.from_fraction(n) / root.powi(2)
-    raise ValueError(f"unknown form {form!r}")
+    quotient = RealValue.exact(1)
+    for kind, k in FORMS[which][form]:
+        quotient = quotient * block_value(kind, k, qn) / block_value(kind, k, q)
+    return RealValue.from_fraction(n) * q.powf((n - 1) / 4) * quotient.powi(2)
+
+
+def product_value(which: str, m, n) -> RealValue:
+    """a(m, n) ("a") or b(m, n) ("b") from its first form, at the current
+    mp.dps."""
+    m, n = Fraction(m), Fraction(n)
+    return _form_value(which, next(iter(FORMS[which])), n, nome_value(m / n))
 
 
 def _evaluate(which: str, m, n, prec: PrecisionSpec) -> ProductValue:
     m, n = Fraction(m), Fraction(n)
     if m <= 0 or n <= 0:
         raise ValueError("product parameters must be positive")
-    forms = A_FORMS if which == "a" else B_FORMS
+    forms = tuple(FORMS[which])
     accepted = []       # the forms' values and agreement at the last attempt
 
     def build() -> RealValue:

@@ -224,6 +224,11 @@ class CorollaryRecord:
         inner = ",".join(str(p) for p in self.params)
         return f"{self.kind}({inner})"
 
+    @property
+    def id(self) -> str:
+        """The command-line id, e.g. a_2_3 or g_10/3."""
+        return "_".join((self.kind, *map(str, self.params)))
+
 
 @dataclass(frozen=True)
 class CorollaryCheck:
@@ -287,6 +292,21 @@ def registry_find(records, kind: str, *params) -> CorollaryRecord | None:
         if rec.kind == kind and rec.params == want:
             return rec
     return None
+
+
+def registry_by_id(records, text: str, kinds=tuple(KINDS)) -> CorollaryRecord:
+    """The record of one of the given kinds named by an id such as a_2_3 or
+    g_10/3; the parameters are read as rationals, so a_4/2_3 names a_2_3.
+    A miss raises KeyError listing the ids of those kinds."""
+    kind, *params = text.split("_")
+    try:
+        rec = registry_find(records, kind, *params) if kind in kinds else None
+    except (ValueError, ZeroDivisionError):
+        rec = None
+    if rec is None:
+        known = ", ".join(r.id for r in records if r.kind in kinds)
+        raise KeyError(f"unknown id {text!r}; known ids: {known}")
+    return rec
 
 
 def load_builtin_registry() -> list[CorollaryRecord]:

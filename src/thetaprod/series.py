@@ -68,9 +68,6 @@ class PowerSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def first_nonzero(self) -> int | None:
-        return self.leading_exponent()
-
     def __add__(self, other: PowerSeries) -> PowerSeries:
         return add(self, other)
 
@@ -346,7 +343,7 @@ def check_entry24(order: int) -> SeriesCheck:
              mul(series_psi("minus", order), series_phi("plus", order)))
     d2 = sub(mul(mul(fq, series_f(1, "minus", order)), series_f(4, "minus", order)),
              pow_int(series_f(2, "minus", order), 3))
-    failures = [d.first_nonzero() for d in (d1, d2) if d.first_nonzero() is not None]
+    failures = [d.leading_exponent() for d in (d1, d2) if not d.is_zero()]
     if failures:
         return SeriesCheck(False, min(failures))
     return SeriesCheck(True, None)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, workdps
@@ -227,6 +228,31 @@ def test_reproduce_single_and_unknown(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["verify-corollary", "reproduce"])
+def test_product_ids_read_rational_parameters(capsys, command):
+    code, out, _ = run_cli(capsys, command, "a_4/2_3", "--digits", "45",
+                           "--json")
+    assert code == 0
+    assert json.loads(out)["counts"] == {"pass": 1, "fail": 0, "skip": 0}
+
+
+@pytest.mark.parametrize("command", ["verify-corollary", "reproduce"])
+@pytest.mark.parametrize("ident", ["a__3", "x_1", "a_1_2_3"])
+def test_malformed_ids_are_usage_errors(capsys, command, ident):
+    code, out, err = run_cli(capsys, command, ident, "--digits", "45")
+    assert code == 2
+    assert out == ""
+    assert f"unknown id {ident!r}; known ids: " in err
+
+
+def test_reproduce_lists_only_product_ids(capsys):
+    code, _, err = run_cli(capsys, "reproduce", "g_30", "--digits", "45")
+    assert code == 2
+    known = err.strip().split("known ids: ")[1].split(", ")
+    assert "a_2_3" in known and "b_40_3" in known
+    assert all(ident[:2] in ("a_", "b_") for ident in known)
+
+
 def test_forged_registry_fails_with_exit_one(tmp_path, capsys):
     forged = tmp_path / "registry.txt"
     forged.write_text("a 2 3 = 2 * (sqrt(2)-1) * (sqrt(3)+sqrt(2))^(1/2)  # forged\n")
@@ -269,6 +295,19 @@ def test_module_invocation_round_trip():
     value = json.loads(proc.stdout)["checks"][0]["details"]["value"]
     with workdps(40):
         assert abs(mp.mpf(value) - mp.exp(-mp.pi)) < mp.mpf("1e-28")
+
+
+def test_data_files_are_closed_after_reading():
+    data = Path(__file__).resolve().parents[1] / "src" / "thetaprod" / "data"
+    files = ["--catalogue", str(data / "catalogue.txt"),
+             "--registry", str(data / "registry.txt")]
+    for argv in (["verify-identity", "e24", "--series", "--series-order", "24"],
+                 ["verify-corollary", "g_30", "--digits", "30"]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "thetaprod.cli", *argv, *files],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr
 
 
 def test_suite_skips_when_registry_leg_missing():

@@ -33,7 +33,8 @@ def test_spec_rejects_bad_parameters():
 
 def test_spec_budget_and_widening():
     spec = PrecisionSpec(40, 15)
-    assert spec.budget() == mpf(10) ** -40
+    assert RealValue(mpf(1), mpf(10) ** -41).meets(spec)
+    assert not RealValue(mpf(1), mpf(10) ** -39).meets(spec)
     wider = spec.widened()
     assert wider.target_digits == 40
     assert wider.guard_digits > spec.guard_digits

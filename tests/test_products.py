@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
 from thetaprod import products
+from thetaprod.blocks import nome_value
 from thetaprod.precision import (PrecisionError, PrecisionSpec, RealValue,
-                                 digits_agreed)
-from thetaprod.products import (A_FORMS, B_FORMS, CrossFormError, ProductValue,
-                                a_numeric, b_numeric)
+                                 compute_checked, digits_agreed)
+from thetaprod.products import (A_FORMS, B_FORMS, FORMS, CrossFormError,
+                                ProductValue, a_numeric, b_numeric,
+                                product_value)
 
 P50 = PrecisionSpec.of(50)
 P60 = PrecisionSpec.of(60)
@@ -106,3 +108,41 @@ def test_random_rational_grid_positive_and_consistent(mn, md, nn, nd):
     assert got.value.magnitude > 0
     gotb = b_numeric(m, n, PrecisionSpec.of(40))
     assert gotb.value.magnitude > 0
+
+
+def readme_product(which, m, n):
+    """a(m,n) or b(m,n) as the README writes it, from mpmath's qp and jtheta
+    at the current mp.dps."""
+    m, n = (mpf(Fraction(x).numerator) / Fraction(x).denominator for x in (m, n))
+    q = mp.exp(-mp.pi * mp.sqrt(m / n))
+
+    def psi(x):
+        return mp.qp(x ** 2, x ** 2) / mp.qp(x, x ** 2)
+
+    def phi(x):
+        return mp.jtheta(3, 0, x)
+
+    k = 2 if which == "a" else 1
+    return (n * q ** ((n - 1) / 4) * psi(q ** n) ** 2 * phi(-q ** (k * n)) ** 2
+            / (psi(q) ** 2 * phi(-q ** k) ** 2))
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (Fraction(3, 2), Fraction(5, 2))])
+@pytest.mark.parametrize("which, form",
+                         [(w, f) for w, forms in FORMS.items() for f in forms])
+def test_every_form_matches_the_readme_formula(which, form, m, n):
+    with workdps(70):
+        got = products._form_value(which, form, Fraction(n), nome_value(Fraction(m) / n))
+    with workdps(90):
+        want = readme_product(which, m, n)
+        assert digits_agreed(got.magnitude, want) >= 40
+
+
+@pytest.mark.parametrize("which, m, n", [("a", 2, 3), ("a", 26, 5),
+                                         ("b", 40, 3), ("b", 1, 7),
+                                         ("a", Fraction(3, 2), Fraction(5, 2))])
+def test_product_value_agrees_with_the_cross_checked_value(which, m, n):
+    single = compute_checked(P50, lambda: product_value(which, m, n))
+    checked = (a_numeric if which == "a" else b_numeric)(m, n, P50).value
+    with workdps(P50.working_digits):
+        assert digits_agreed(single, checked) >= P50.target_digits

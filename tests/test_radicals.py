@@ -14,6 +14,7 @@ from thetaprod.radicals import (
     load_builtin_registry,
     parse_radical,
     parse_registry,
+    registry_by_id,
     registry_find,
     render_radical,
     verify_corollary,
@@ -141,6 +142,40 @@ def test_registry_find():
     assert registry_find(recs, "a", 26, 5) is not None
     assert registry_find(recs, "g", 31) is None
     assert registry_find(recs, "gg", 5, 7) is None
+
+
+def test_registry_ids_round_trip():
+    recs = load_builtin_registry()
+    assert all(registry_by_id(recs, rec.id) is rec for rec in recs)
+    assert registry_find(recs, "a", 2, 3).id == "a_2_3"
+    assert registry_find(recs, "g", Fraction(10, 3)).id == "g_10/3"
+    assert registry_find(recs, "gg", 6, Fraction(2, 3)).id == "gg_6_2/3"
+
+
+def test_registry_by_id_reads_rational_parameters():
+    recs = load_builtin_registry()
+    assert registry_by_id(recs, "a_4/2_3").id == "a_2_3"
+    assert registry_by_id(recs, "g_20/6").id == "g_10/3"
+
+
+@pytest.mark.parametrize("text", ["a__3", "x_1", "a_1_2_3", "a", "a_1/0_3",
+                                  "g_30_1", "a_99_3"])
+def test_registry_by_id_rejects_unknown_ids(text):
+    recs = load_builtin_registry()
+    with pytest.raises(KeyError) as info:
+        registry_by_id(recs, text)
+    message = info.value.args[0]
+    assert message.startswith(f"unknown id {text!r}; known ids: ")
+    assert message.split("known ids: ")[1].split(", ") == [r.id for r in recs]
+
+
+def test_registry_by_id_searches_and_lists_only_the_given_kinds():
+    recs = load_builtin_registry()
+    assert registry_by_id(recs, "b_40_3", ("a", "b")).id == "b_40_3"
+    with pytest.raises(KeyError) as info:
+        registry_by_id(recs, "g_30", ("a", "b"))
+    known = info.value.args[0].split("known ids: ")[1].split(", ")
+    assert known == [r.id for r in recs if r.kind in ("a", "b")]
 
 
 def test_builtin_registry_shape():

@@ -234,7 +234,7 @@ def test_dropped_factor_fails_at_small_exponent():
     n = 24 * 12
     bad = sub(mul(series_f(1, "plus", n), series_f(2, "minus", n)),
               series_psi("minus", n))
-    assert bad.first_nonzero() == 24
+    assert bad.leading_exponent() == 24
 
 
 # ---------------------------------------------------------------- ring laws

@@ -7,34 +7,43 @@ after the n-th retained term is at most  c * x^(g(n+1)) / (1 - x).  That
 bound is added to the returned error estimate rather than assumed away.
 
 A block is summed in fixed-point integers.  With u = 2^-wp, wp = mp.prec +
-_GUARD_BITS, the midpoint of x becomes X = floor(x * 2^wp), and every power
-and the running sum are integers in units of u.  No power is raised from
-scratch, and each product is formed at the width its term needs: a term's
-x^g is the previous term's power p times the gap power x^d, d = g - g_prev,
+_GUARD_BITS, the midpoint of x becomes X = floor(x * 2^wp), and every term's
+power and the running sum are integers in units of u.  No power is raised
+from scratch: each stream (pentagonal, square or triangular exponents) has
+an addition plan, built once and extended as longer sums need it, in which
+every power is the product of two earlier entries,
 
-    p <- (p * G_d) >> w,    w = min(wp, bit length of p),
+    x^(a+b) = (A * B) >> w,    w = bit length of A,
 
-with G_d = x^d in units of 2^-w.  A gap power not yet formed in the sum is
-the product of two that are, (G_a * G_(d-a)) >> w with a the largest gap
-formed so far; a stored one is shifted down to the current w.  p never
-grows, so w never rises and a stored gap power is never needed wider.
+with A = x^a in the entry's own units and B = x^b shifted down to units of
+2^-w.  A term's power is, in order of preference, the previous term's
+power times a gap power x^d already formed, the product of two earlier
+terms' powers, or the previous term's power times a new gap power.  A gap
+power (a helper) is formed from two earlier entries at the width of the
+previous term's power and kept there; term powers never grow (one that
+comes out above its predecessor is lowered to it, which keeps it a lower
+bound short by less than its predecessor's shortfall), so a helper is
+never needed wider than it was formed.  Each product costs about (width of
+A) * (width of the result), so the product of the previous term and a gap
+power is the cheapest one there is, and a product of two earlier terms
+saves the helper.  For the first 200 terms the plans form 247 (f), 302
+(phi) and 258 (psi) products, 1.24, 1.51 and 1.29 per term.
 
 Every step floors, so every computed power is a lower bound, and by
 induction on the steps (x < 1 throughout):
   - x^1 at width w is X shifted down, short by less than 2 = 3*1 - 1
     units of 2^-w;
   - a product of x^a and x^b short by less than 3a - 1 and 3b - 1 units,
-    each at most 2^w, is short by less than (3a - 1) + (3b - 1) + 1 =
-    3(a + b) - 1 units, and a shift down leaves a shortfall s < 3d - 1 at
-    less than s/2 + 1 <= 3d - 1;
-  - a term step scales p's shortfall by x^d <= 1 and adds less than
-    p * (3d - 1) * 2^-w + 1 <= 3d units of u, as p <= 2^w.
-So each computed x^g is short by less than 3g u, and the exact integer sum
-of c * p is within 3 * sum |c| g * u of the sum of c x^g: that is the
-rounding allowance, plus one rounding of the midpoint to mp.prec.  It is
-charged against sum |c| g, not against the sum itself, so it stays an
-enclosure when an alternating sum cancels far below its terms, as f(-x),
-phi(-x) and psi(-x) do for x near 1.
+    with A < 2^w and x^b <= 1, is short by less than (3a - 1) + (3b - 1) +
+    1 = 3(a + b) - 1 units of A's scale, and a shift down leaves a
+    shortfall s < 3d - 1 at less than s/2 + 1 <= 3d - 1.
+The plan decides only which products are formed, not how each one rounds,
+so the bound holds for every plan.  Each computed x^g is short by less than
+3g u, and the exact integer sum of c * p is within 3 * sum |c| g * u of the
+sum of c x^g: that is the rounding allowance, plus one rounding of the
+midpoint to mp.prec.  It is charged against sum |c| g, not against the sum
+itself, so it stays an enclosure when an alternating sum cancels far below
+its terms, as f(-x), phi(-x) and psi(-x) do for x near 1.
 
 The radius of the argument x enters by the mean-value theorem: over the
 ball, the derivative of the partial sum is at most sum |c| g x^(g-1) *
@@ -45,9 +54,9 @@ precision (precision.RADIUS_BITS); only the sum is full width.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 
 from mpmath import mp, mpf
 
@@ -97,37 +106,87 @@ _GUARD_BITS = 10
 _CUTOFFS: dict[int, int] = {}
 
 
-def _gap_power(gaps: dict[int, tuple[int, int]], known: list[int], d: int, w: int) -> int:
-    """x^d in units of 2^-w, given gaps = {e: (x^e in units of 2^-v, v)}
-    holding x^1 and known = its sorted keys; w is at most every stored v.
+class _Plan:
+    """The addition plan of one term stream.  Entry 0 is x^0 and entry 1 is
+    x^1; every later entry is the product of two earlier ones.  terms[n] is
+    (g, entry, helpers, step) for the n-th term x^g: the helper steps (a, b)
+    that form new gap powers, then the step (a, b) that forms x^g, or None
+    when x^g is entry 0 or 1."""
 
-    A stored power is shifted down to w and kept so.  A new x^d is
-    x^a * x^(d-a) for the largest known a < d, and is kept.  The streams'
-    gaps grow by 1 or 2, so d - a is almost always known.
-    """
-    if d in gaps:
-        p, v = gaps[d]
-        if v == w:
-            return p
-        p >>= v - w
-    else:
-        a = known[bisect_left(known, d) - 1]
-        p = _gap_power(gaps, known, a, w) * _gap_power(gaps, known, d - a, w) >> w
-        insort(known, d)
-    gaps[d] = p, w
-    return p
+    def __init__(self):
+        self.terms: list[tuple] = []
+        self.powers = {0: 0, 1: 1}      # term exponent -> entry, in units of u
+        self.helpers: dict[int, int] = {}   # gap exponent -> entry
+        self.prev = 0
+
+    def _entry(self, e: int, steps: list) -> int:
+        """The entry of x^e; a new one is a helper formed from the largest
+        known a < e whose complement is known, else from the largest."""
+        entry = self.helpers.get(e, self.powers.get(e))
+        if entry is None:
+            known = sorted(k for k in (*self.helpers, *self.powers) if 0 < k < e)
+            a = next((a for a in reversed(known)
+                      if e - a in self.helpers or e - a in self.powers), known[-1])
+            steps.append((self._entry(max(a, e - a), steps),
+                          self._entry(min(a, e - a), steps)))
+            entry = self.helpers[e] = len(self.powers) + len(self.helpers)
+        return entry
+
+    def add(self, g: int) -> None:
+        """Plan the stream's next term, x^g with g above every term so far."""
+        helpers, step = [], None
+        if g not in self.powers:
+            gap = g - self.prev
+            a = next((a for a in reversed(self.powers)
+                      if 2 * a >= g and g - a in self.powers), None)
+            if gap in self.helpers or gap in self.powers or a is None:
+                step = self.powers[self.prev], self._entry(gap, helpers)
+            else:
+                step = self.powers[a], self.powers[g - a]
+            self.powers[g] = len(self.powers) + len(self.helpers)
+        self.prev = g
+        self.terms.append((g, self.powers[g], tuple(helpers), step))
+
+
+# plans by a stream's first three exponents: 0, 1, then 2 (pentagonal), 4
+# (squares) or 3 (triangular numbers)
+_PLANS: dict[tuple[int, ...], _Plan] = {}
 
 
 def _powers(terms, x: int, wp: int, cutoff: int):
     """(g, c, nxt, p) for each term of a stream through the first one with
     g > 0 and p < cutoff, where p is x^g in units of 2^-wp and x is given in
-    those units.  Each step is formed at the width its term needs."""
-    gaps, known = {1: (x, wp)}, [1]
-    g_prev, p = 0, 1 << wp
-    for count, (g, c, nxt) in enumerate(terms):
-        if g != g_prev:
-            w = min(wp, p.bit_length())
-            p, g_prev = p * _gap_power(gaps, known, g - g_prev, w) >> w, g
+    those units.  The powers follow the stream's addition plan, each product
+    at the width its operands need."""
+    terms = iter(terms)
+    head = list(islice(terms, 3))
+    plan = _PLANS.setdefault(tuple(g for g, _, _ in head), _Plan())
+    steps = plan.terms
+    vals, widths = [1 << wp, x], [wp, wp]     # every entry, and its units
+    p = vals[0]
+    for count, (g, c, nxt) in enumerate(chain(head, terms)):
+        if count == len(steps):
+            plan.add(g)
+        planned, entry, helpers, step = steps[count]
+        if planned != g:
+            raise ValueError(f"term x^{g} does not follow the stream's addition plan")
+        if helpers:
+            v = min(wp, p.bit_length())
+            for a, b in helpers:
+                big = vals[a] >> (widths[a] - v)
+                w = big.bit_length()
+                vals.append(big * (vals[b] >> (widths[b] - w)) >> w)
+                widths.append(v)
+        if step is None:
+            p = vals[entry]
+        else:
+            big = vals[step[0]]
+            w = big.bit_length()
+            term = big * (vals[step[1]] >> (widths[step[1]] - w)) >> w
+            if term < p:
+                p = term
+            vals.append(p)
+            widths.append(wp)
         yield g, c, nxt, p
         if p < cutoff and g > 0:
             return
@@ -190,16 +249,39 @@ def eval_block(kind: str, k: int, q: RealValue, prec: PrecisionSpec) -> RealValu
     return compute_checked(prec, lambda: block_value(kind, k, q))
 
 
+def quotient_values(exprs, q: RealValue) -> list[RealValue]:
+    """Eta quotients at one q, 0 < q < 1, at the current mp.dps; the empty
+    quotient is 1.  Each distinct block f(-q^k) or f(q^k), and each power q^k,
+    is evaluated once for all of them; q^k is the square of q^(k/2) when
+    that is needed too."""
+    def block(f) -> tuple[str, int]:
+        return "f_minus" if f.sign == "minus" else "f_plus", f.k
+
+    blocks = dict.fromkeys(block(f) for expr in exprs for f in expr.factors)
+    args: dict[int, RealValue] = {}
+    for k in sorted({k for _, k in blocks}):
+        args[k] = args[k // 2].powi(2) if k % 2 == 0 and k // 2 in args else q.powi(k)
+    sums = {key: _sum_block(key[0], args[key[1]]) for key in blocks}
+    out = []
+    for expr in exprs:
+        # q^q_power times the factors with positive exponents, divided once
+        # by the product of the others
+        top = q.powf(expr.q_power) if expr.q_power != 0 else RealValue.exact(1)
+        bottom = None
+        for f in expr.factors:
+            power = sums[block(f)].powi(abs(f.exponent))
+            if f.exponent > 0:
+                top = top * power
+            else:
+                bottom = power if bottom is None else bottom * power
+        out.append(top if bottom is None else top / bottom)
+    return out
+
+
 def quotient_value(expr: EtaQuotient, q: RealValue) -> RealValue:
     """An eta quotient at q, 0 < q < 1, at the current mp.dps; the empty
     quotient is 1."""
-    out = RealValue.exact(1)
-    if expr.q_power != 0:
-        out = q.powf(expr.q_power)
-    for f in expr.factors:
-        kind = "f_minus" if f.sign == "minus" else "f_plus"
-        out = out * block_value(kind, f.k, q).powi(f.exponent)
-    return out
+    return quotient_values([expr], q)[0]
 
 
 def eval_eta_quotient(expr: EtaQuotient, q: RealValue, prec: PrecisionSpec) -> RealValue:

@@ -13,10 +13,11 @@ midpoint that enters a radius.  exp and fractional
 powers are bounded by expm1 and by the mean-value theorem, not to first
 order.  The radius format is known only to this module: other modules build
 bounds with radius_add(), radius_sub(), radius_mul(), radius_div(),
-radius_pow() and radius_sqrt(), which round a full-width argument to radius
-precision before using it.  A sum in fixed-point integers, x in units of
-2^-wp, reads its operands with to_fixed(), its radius terms with
-radius_fixed() and becomes a ball through fixed_ball().
+radius_pow(), radius_sqrt() and radius_expm1(), which round a full-width
+argument to radius precision before using it.  A sum in fixed-point
+integers, x in units of 2^-wp, reads its operands with to_fixed() (or, as
+a mantissa and a binary exponent, with to_mantissa()), its radius terms
+with radius_fixed() and becomes a ball through fixed_ball().
 
 Public evaluation entry points run inside compute_checked(), which executes
 the computation at target + guard digits and, if the radius exceeds the
@@ -155,6 +156,15 @@ def radius_sqrt(x) -> mpf:
     return _make(mpf_sqrt(_up(_raw(x)), RADIUS_BITS, "u"))
 
 
+def to_mantissa(x: mpf, wp: int) -> tuple[int, int]:
+    """(X, e) with x = X * 2^(e - wp) exactly and 2^(wp-1) <= X < 2^wp, for
+    an mpf x > 0 of at most wp bits."""
+    sign, man, exp, bc = x._mpf_
+    if sign or not man or bc > wp:
+        raise ValueError("to_mantissa needs a positive mpf of at most wp bits")
+    return man << (wp - bc), exp + bc
+
+
 def to_fixed(x: mpf, wp: int) -> int:
     """floor(x * 2^wp) for an mpf x >= 0: x in units of 2^-wp."""
     _, man, exp, _ = x._mpf_
@@ -172,6 +182,11 @@ def _expm1_bound(e) -> tuple:
     if mpf_le(e, fone):
         return _sum(e, _mul(e, e))
     return mpf_shift(fone, 2 * int(_make(e)) + 2)
+
+
+def radius_expm1(x) -> mpf:
+    """An upper bound of exp(|x|) - 1 at radius precision."""
+    return _make(_expm1_bound(_up(_raw(x))))
 
 
 def _ball(m: mpf, r) -> RealValue:

@@ -7,22 +7,40 @@ lattice and asserting every coefficient cancels up to a sound order.  The
 exact check sums the relation's monomials in Z[x]/(x^n) packed into one
 integer modulo 2^(W n), with W a proved bound on the residual's
 coefficients, so that it needs no rational arithmetic after the expansion.
+
+The numeric check evaluates P and Q as balls, each distinct theta block
+once per probe, and then the relation in fixed point.  The coefficients are
+scaled to integers C by the lcm of their denominators (the scale cancels
+in the end).  The midpoints become P = X 2^(e_P - wp) with x_P = X 2^-wp in
+[1/2, 1), likewise Q, and T_i, x_P^i in units of 2^-wp, is formed by
+flooring products stepped by the gcd of the exponents in use: short by
+less than 3i units, as in blocks.py.  x_P^i >= 2^-i, so adding the degree
+to wp keeps every bit.  The monomials are summed exactly: each row sum of
+C T_j 2^(j e_Q) over j is one integer, times T_i once per distinct i.  As
+x_P^i, x_Q^j <= 1, T_i T_j is short of x_P^i x_Q^j 2^(2 wp) by less than
+3(i + j) 2^wp, so the radius is sum |C| 3(i + j) 2^(i e_P + j e_Q - wp) for
+the floors, plus the radii of P and Q carried through each monomial,
+|C| |P|^i |Q|^j expm1(i d_P + j d_Q) with d the relative radii, at radius
+precision; no bound is a difference of nearly equal numbers.  One ball
+division by the largest monomial normalizes the residual.  The numeric
+check never touches the packed ring or series.pack, so that no single bug
+in it can make both checks pass.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, log2
 from typing import NamedTuple
 
 from mpmath import mp, mpf, workdps
 from mpmath.libmp import from_int, from_man_exp, from_rational, mpf_mul, mpf_pow_int
 
-from .blocks import block_value, nome, quotient_value
+from .blocks import block_value, nome, quotient_values
 from .catalogue import IdentityRecord
-from .precision import PrecisionSpec, RealValue
+from .precision import (PrecisionSpec, RealValue, fixed_ball, radius_add, radius_div,
+                        radius_expm1, radius_fixed, radius_mul, radius_pow, to_mantissa)
 from .series import SeriesCheck, pack
 
 PROBE_FRACTIONS = (Fraction(1, 100), Fraction(1, 20),
@@ -65,11 +83,23 @@ def default_probes(rec: IdentityRecord, prec: PrecisionSpec):
     return probes
 
 
-def _power_table(base, top: int, times) -> dict:
-    """base^1 .. base^top, each formed from the one before by times()."""
-    table = {1: base}
-    for i in range(2, top + 1):
-        table[i] = times(table[i - 1], base)
+def _stepped_powers(base, used: list[int], one, times) -> dict:
+    """{0: one} and base^k for k = d, 2d, ... up to max(used), d the gcd of
+    the exponents used: base^d by square-and-multiply, then each power from
+    the one before, every product formed by times()."""
+    table = {0: one}
+    if any(used):
+        d = e = gcd(*used)
+        power = None
+        while e:        # power = base^d
+            if e & 1:
+                power = base if power is None else times(power, base)
+            e >>= 1
+            if e:
+                base = times(base, base)
+        table[d] = power
+        for k in range(2 * d, max(used) + 1, d):
+            table[k] = times(table[k - d], power)
     return table
 
 
@@ -85,29 +115,76 @@ def normalized_residual(terms: list[RealValue]) -> RealValue:
     return abs(total) / abs(largest)
 
 
+# a relation is summed in units of 2^-(mp.prec + _GUARD_BITS + its degree)
+_GUARD_BITS = 10
+
+
+def _fixed_powers(x: int, used: list[int], wp: int) -> dict[int, int]:
+    """x^k in units of 2^-wp for x given in those units, each product
+    floored: the stepped table of _stepped_powers."""
+    return _stepped_powers(x, used, 1 << wp, lambda a, b: a * b >> wp)
+
+
+def _fixed_residual(poly: dict[tuple[int, int], Fraction], p: RealValue,
+                    q: RealValue) -> RealValue:
+    """sum c P^i Q^j over the relation, divided by its largest monomial, for
+    balls P and Q with positive midpoints, in fixed point (see the module
+    docstring)."""
+    scale = lcm(*(c.denominator for c in poly.values()))
+    monomials = [(i, j, c.numerator * (scale // c.denominator))
+                 for (i, j), c in sorted(poly.items())]
+    wp = mp.prec + _GUARD_BITS + max(i + j for i, j, _ in monomials)
+    (xp, ep), (xq, eq) = to_mantissa(p.magnitude, wp), to_mantissa(q.magnitude, wp)
+
+    tp = _fixed_powers(xp, [i for i, _, _ in monomials], wp)
+    tq = _fixed_powers(xq, [j for _, j, _ in monomials], wp)
+    # monomial (i, j, C) is C tp[i] tq[j] 2^(shift - 2 wp)
+    shifts = [i * ep + j * eq for i, j, _ in monomials]
+    low = min(shifts)
+    rows: dict[int, int] = {}
+    row_low: dict[int, int] = {}
+    for (i, j, c), s in zip(monomials, shifts):
+        row_low[i] = min(row_low.get(i, s), s)
+    for (i, j, c), s in zip(monomials, shifts):
+        rows[i] = rows.get(i, 0) + (c * tq[j] << (s - row_low[i]))
+    total = sum(tp[i] * row << (row_low[i] - low) for i, row in rows.items())
+
+    def bounds(v: RealValue, used) -> dict:
+        """|v|^e and e times the relative radius of v, for each e used."""
+        size, rel = radius_add(v.magnitude), radius_div(v.error_bound, v.magnitude)
+        return {e: (radius_pow(size, e), radius_mul(e, rel)) for e in used}
+
+    bp, bq = bounds(p, rows), bounds(q, {j for _, j, _ in monomials})
+    carried = [radius_mul(c, bp[i][0], bq[j][0], radius_expm1(radius_add(bp[i][1], bq[j][1])))
+               for i, j, c in monomials]
+    # the floor shortfall of monomial (i, j, C) in units of 2^(i e_P + j e_Q - wp)
+    shortfall = [abs(c) * 3 * (i + j) for i, j, c in monomials]
+    value = fixed_ball(total, 2 * wp - low, radius_add(
+        radius_fixed(sum(r << (s - low) for r, s in zip(shortfall, shifts)), wp - low),
+        *carried))
+    # the largest monomial by its logarithm
+    lp, lq = log2(xp) - wp + ep, log2(xq) - wp + eq
+    k = max(range(len(monomials)),
+            key=lambda k: log2(abs(monomials[k][2])) + monomials[k][0] * lp
+            + monomials[k][1] * lq)
+    (i, j, c), s = monomials[k], shifts[k]
+    largest = fixed_ball(c * tp[i] * tq[j], 2 * wp - s,
+                         radius_add(radius_fixed(shortfall[k], wp - s), carried[k]))
+    return abs(value) / abs(largest)
+
+
 def verify_numeric(rec: IdentityRecord, q, prec: PrecisionSpec) -> Residual:
-    """Evaluate the cleared relation at probe q; residual is scaled by the
-    largest monomial so tolerance is meaningful across all records."""
+    """Evaluate the cleared relation at probe q in fixed point (see
+    _fixed_residual); residual is scaled by the largest monomial so
+    tolerance is meaningful across all records."""
     if prec.target_digits < 40:
         raise ValueError("numeric verification requires target_digits >= 40")
     q = probe_value(q, prec)
     if not (0 < q.magnitude < 1):
         raise ValueError("probe must satisfy 0 < q < 1")
     with workdps(prec.working_digits):
-        monomials = sorted(rec.relation_poly.terms.items())
-        p_pows = _power_table(quotient_value(rec.p_expr, q),
-                              max(i for (i, _), _ in monomials), operator.mul)
-        q_pows = _power_table(quotient_value(rec.q_expr, q),
-                              max(j for (_, j), _ in monomials), operator.mul)
-        terms = []
-        for (i, j), c in monomials:
-            term = RealValue.from_fraction(c)
-            if i:
-                term = term * p_pows[i]
-            if j:
-                term = term * q_pows[j]
-            terms.append(term)
-        residual = normalized_residual(terms)
+        p_value, q_value = quotient_values((rec.p_expr, rec.q_expr), q)
+        residual = _fixed_residual(rec.relation_poly.terms, p_value, q_value)
     return Residual.of(residual, default_tolerance(prec))
 
 
@@ -140,12 +217,13 @@ def _integral_slots(coeffs: dict[int, Fraction], lead: int, step: int,
     return out
 
 
-def _majorant(slots: dict[int, int], t: int) -> tuple:
-    """sum |s_k| r^k at r = 1 - 2^-t, by Horner's rule in fixed point with 64
-    fraction bits, each step rounded up; a raw mpf rounded up to 64 bits."""
+def _majorant(sizes: list[int], t: int) -> tuple:
+    """sum s_k r^k at r = 1 - 2^-t, for s_k = sizes[k] >= 0, by Horner's rule
+    in fixed point with 64 fraction bits, each step rounded up; a raw mpf
+    rounded up to 64 bits."""
     acc, shrink = 0, (1 << t) - 1
-    for k in range(max(slots, default=-1), -1, -1):
-        acc = -(-acc * shrink >> t) + (abs(slots.get(k, 0)) << 64)
+    for s in reversed(sizes):
+        acc = -(-acc * shrink >> t) + (s << 64)
     return from_man_exp(acc, -64, 64, "u")
 
 
@@ -161,7 +239,8 @@ def _slot_width(terms, p: dict[int, int], q: dict[int, int], slots: int) -> int:
     every coefficient of U and V that gets packed, since |U|(r), |V|(r) >= 1
     and each is packed only on the slots some monomial reads.  The bounds
     are raw mpfs with 64-bit mantissas, every operation rounded up."""
-    radii = [(_majorant(p, t), _majorant(q, t),
+    sizes = [[abs(s.get(k, 0)) for k in range(max(s, default=-1) + 1)] for s in (p, q)]
+    radii = [(_majorant(sizes[0], t), _majorant(sizes[1], t),
               from_rational(1 << t, (1 << t) - 1, 64, "u"))    # 1/r
              for t in range(2, 7)]
 
@@ -235,18 +314,11 @@ def verify_series(rec: IdentityRecord, order: int) -> SeriesCheck:
     def times(a: int, b: int) -> int:
         return a * b & mask
 
-    def powers(slots: dict[int, int], used: list[int]) -> dict[int, int]:
-        # the relations use only multiples of d, the gcd of their exponents
-        table = {0: 1}
-        if any(used):
-            d = gcd(*used)
-            base = pow(pack(slots, ring.width, ring.slots), d) & mask
-            table.update((d * k, v) for k, v in
-                         _power_table(base, max(used) // d, times).items())
-        return table
-
-    p_pows = powers(ring.p, [i for i, _, _, _ in ring.terms])
-    q_pows = powers(ring.q, [j for _, j, _, _ in ring.terms])
+    # the relations use only multiples of the gcd of their exponents
+    p_pows = _stepped_powers(pack(ring.p, ring.width, ring.slots),
+                             [i for i, _, _, _ in ring.terms], 1, times)
+    q_pows = _stepped_powers(pack(ring.q, ring.width, ring.slots),
+                             [j for _, j, _, _ in ring.terms], 1, times)
     rows: dict[int, int] = {}    # i -> sum over j of c x^shift V^j
     for i, j, c, shift in ring.terms:
         rows[i] = rows.get(i, 0) + (c * q_pows[j] << bits * shift)

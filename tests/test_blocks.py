@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
+from thetaprod import blocks
 from thetaprod.blocks import (BLOCK_KINDS, Nome, _powers, _sum_block, eval_block,
                               eval_eta_quotient, eval_series_at, nome)
 from thetaprod.precision import PrecisionSpec, RealValue, digits_agreed, to_fixed
@@ -259,6 +261,32 @@ def test_power_chain_is_short_by_at_most_3g_units(stream, digits):
         for g, _, _, p in _powers(stream("minus"), x, wp, cutoff):
             lo, hi = _power_bounds(x, g, wp, 64)
             assert p << 64 <= lo and hi - (p << 64) <= 3 * g << 64
+
+
+# products the addition plans form for the first 200 terms of each stream;
+# the chain of gap powers they replace formed about 1.62 per term
+PLAN_PRODUCTS = {f_terms: 247, phi_terms: 302, psi_terms: 258}
+
+
+@pytest.mark.parametrize("stream", [f_terms, phi_terms, psi_terms])
+def test_addition_plan_forms_each_exponent_from_earlier_entries(stream):
+    # cutoff 0 never ends the sum, so the plan reaches 200 terms
+    wp = 200
+    got = [g for g, _, _, _ in islice(_powers(stream("plus"), (1 << wp) - 1, wp, 0), 200)]
+    assert got == [g for g, _, _ in islice(stream("plus"), 200)]
+    plan = blocks._PLANS[tuple(got[:3])]
+    exponent = {entry: e for table in (plan.powers, plan.helpers)
+                for e, entry in table.items()}
+    entry, products = 2, 0
+    for g, term, helpers, step in plan.terms[:200]:
+        for a, b in helpers + ((step,) if step else ()):
+            assert a < entry and b < entry
+            assert exponent[entry] == exponent[a] + exponent[b]
+            entry += 1
+            products += 1
+        assert exponent[term] == g
+        assert step is None or term == entry - 1
+    assert products <= PLAN_PRODUCTS[stream]
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,25 @@
 """Tests for the dual verification engine."""
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
+from thetaprod import blocks
 from thetaprod.catalogue import find_record, load_builtin, parse_catalogue
 from thetaprod.precision import PrecisionSpec, RealValue
-from thetaprod.blocks import quotient_value
+from thetaprod.blocks import nome, quotient_value
 from thetaprod.quotient import EtaQuotient
 from thetaprod.relation import Poly2
 from thetaprod.series import PowerSeries, SeriesCheck, mul, scalar_mul
-from thetaprod.verify import (Residual, _ring, default_probes,
+from thetaprod.verify import (Residual, _fixed_powers, _ring, default_probes,
                               default_tolerance, normalized_residual,
                               probe_value, verify_multiplier13,
                               verify_numeric, verify_series)
@@ -116,6 +121,115 @@ def test_numeric_power_tables_match_per_monomial_powers(rec):
              for (i, j), c in sorted(rec.relation_poly.terms.items())])
     assert abs(res.value.magnitude - old.magnitude) <= (
         res.value.error_bound + old.error_bound)
+
+
+def test_numeric_sums_each_distinct_block_once(monkeypatch):
+    calls = []
+    real = blocks._sum_block
+    monkeypatch.setattr(blocks, "_sum_block",
+                        lambda kind, x: calls.append(kind) or real(kind, x))
+    counts = {}
+    for rec in RECORDS:
+        before = len(calls)
+        assert verify_numeric(rec, "1/10", P50).passed
+        counts[rec.id] = len(calls) - before
+        assert counts[rec.id] == len({(f.k, f.sign) for expr in (rec.p_expr, rec.q_expr)
+                                      for f in expr.factors})
+    assert counts["bal3"] == 6
+    assert sum(counts.values()) == 100
+
+
+@pytest.mark.parametrize("used", [[1, 2, 5], [4, 8, 48], [2, 24], [3, 12]])
+def test_fixed_powers_are_short_by_less_than_3k_units(used):
+    # T_k = x^k in units of 2^-wp from flooring products, x = X 2^-wp in
+    # [1/2, 1): X^k 2^(-(k-1) wp) - 3k < T_k <= X^k 2^(-(k-1) wp).  The
+    # residual's rounding allowance covers far more, so only this test sees
+    # a table formed a few bits too narrow
+    rng = random.Random(sum(used))
+    wp = 300
+    for _ in range(5):
+        x = rng.randrange(1 << (wp - 1), 1 << wp)
+        table = _fixed_powers(x, used, wp)
+        assert table[0] == 1 << wp
+        assert sorted(table) == list(range(0, max(used) + 1, gcd(*used)))
+        for k in table.keys() - {0}:
+            scale = (k - 1) * wp
+            assert table[k] << scale <= x ** k < (table[k] + 3 * k) << scale
+
+
+def oracle_residual(rec, q: RealValue) -> RealValue:
+    """The normalized residual by RealValue arithmetic at the current
+    mp.dps: each P^i and Q^j from the one before, each monomial a product
+    of balls."""
+    monomials = sorted(rec.relation_poly.terms.items())
+    p_pows = [RealValue.exact(1), quotient_value(rec.p_expr, q)]
+    q_pows = [RealValue.exact(1), quotient_value(rec.q_expr, q)]
+    for pows, top in ((p_pows, max(i for (i, _), _ in monomials)),
+                      (q_pows, max(j for (_, j), _ in monomials))):
+        while len(pows) <= top:
+            pows.append(pows[-1] * pows[1])
+    terms = []
+    for (i, j), c in monomials:
+        term = RealValue.from_fraction(c)
+        if i:
+            term = term * p_pows[i]
+        if j:
+            term = term * q_pows[j]
+        terms.append(term)
+    return normalized_residual(terms)
+
+
+def mpmath_quotient(expr, q):
+    """An eta quotient from mpmath's q-Pochhammer symbol: f(-x) = (x; x),
+    f(x) = (-x; -x)."""
+    out = q ** (mpf(expr.q_power.numerator) / expr.q_power.denominator)
+    for f in expr.factors:
+        x = q ** f.k
+        out *= (mp.qp(x) if f.sign == "minus" else mp.qp(-x, -x)) ** f.exponent
+    return out
+
+
+def mpmath_residual(rec, q) -> mpf:
+    p, qq = mpmath_quotient(rec.p_expr, q), mpmath_quotient(rec.q_expr, q)
+    terms = [mpf(c.numerator) / c.denominator * p ** i * qq ** j
+             for (i, j), c in rec.relation_poly.terms.items()]
+    return abs(mp.fsum(terms)) / max(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("digits,examples", [(40, 40), (300, 12), (1000, 5)])
+def test_fixed_point_residual_matches_ball_oracle_and_mpmath(digits, examples):
+    # a true relation, or one with a coefficient moved so that the residual
+    # is far from 0; the probe is a rational or the record's natural nome,
+    # a ball with a nonzero radius
+    prec = PrecisionSpec.of(digits)
+
+    @settings(max_examples=examples, deadline=None, database=None, derandomize=True)
+    @given(rec=st.sampled_from(RECORDS), num=st.integers(1, 24),
+           at_nome=st.booleans(), move=st.sampled_from([0, 1, Fraction(-3, 7)]),
+           which=st.integers(0, 40))
+    def check(rec, num, at_nome, move, which):
+        if move:
+            terms = dict(rec.relation_poly.terms)
+            key = sorted(terms)[which % len(terms)]
+            terms[key] += move
+            rec = with_terms(rec, {k: c for k, c in terms.items() if c})
+        if at_nome:
+            idx = rec.natural_nome_index()
+            q = nome(1, idx, prec).q
+            assert q.error_bound > 0
+        else:
+            q = probe_value(Fraction(num, 100), prec)
+        got = verify_numeric(rec, q, prec).value
+        with workdps(prec.working_digits):
+            old = oracle_residual(rec, q)
+        assert abs(got.magnitude - old.magnitude) <= got.error_bound + old.error_bound
+        with workdps(prec.working_digits + 50):
+            point = mp.exp(-mp.pi / mp.sqrt(idx)) if at_nome else mpf(num) / 100
+            want = mpmath_residual(rec, point)
+            for ball in (got, old):
+                assert abs(ball.magnitude - want) <= ball.error_bound
+
+    check()
 
 
 # ---------------------------------------------------------------------------

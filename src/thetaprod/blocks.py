@@ -6,57 +6,78 @@ and coefficients bounded by 2 in absolute value, so for 0 < x < 1 the tail
 after the n-th retained term is at most  c * x^(g(n+1)) / (1 - x).  That
 bound is added to the returned error estimate rather than assumed away.
 
-A block is summed in fixed-point integers.  With u = 2^-wp, wp = mp.prec +
-_GUARD_BITS, the midpoint of x becomes X = floor(x * 2^wp), and every term's
-power and the running sum are integers in units of u.  No power is raised
-from scratch: each stream (pentagonal, square or triangular exponents) has
-an addition plan, built once and extended as longer sums need it, in which
-every power is the product of two earlier entries,
+A block is summed in fixed-point integers by baby-step giant-step over
+residue classes (after Enge, Hart and Johansson, "Short addition sequences
+for theta functions", J. Integer Sequences 21, 2018).  With u = 2^-wp,
+wp = mp.prec + _GUARD_BITS, the midpoint of x becomes X = floor(x * 2^wp).
+For a modulus m, write each exponent g = jm + r with 0 <= r < m.  The
+baby steps form x^r for every residue r the stream takes mod m (its
+residue set, read from one period of the stream) and then Y = x^m, each
+as the floored product of two earlier entries at full width,
 
-    x^(a+b) = (A * B) >> w,    w = bit length of A,
+    x^(a+b) = (x^a * x^b) >> wp,
 
-with A = x^a in the entry's own units and B = x^b shifted down to units of
-2^-w.  A term's power is, in order of preference, the previous term's
-power times a gap power x^d already formed, the product of two earlier
-terms' powers, or the previous term's power times a new gap power.  A gap
-power (a helper) is formed from two earlier entries at the width of the
-previous term's power and kept there; term powers never grow (one that
-comes out above its predecessor is lowered to it, which keeps it a lower
-bound short by less than its predecessor's shortfall), so a helper is
-never needed wider than it was formed.  Each product costs about (width of
-A) * (width of the result), so the product of the previous term and a gap
-power is the cheapest one there is, and a product of two earlier terms
-saves the helper.  For the first 200 terms the plans form 247 (f), 302
-(phi) and 258 (psi) products, 1.24, 1.51 and 1.29 per term.
+with helpers where a residue is no sum of two known exponents.  The block
+sums B_j = sum of c x^r over the terms with g = jm + r are exact integers.
+Horner's rule in Y then combines them from the top level J = floor(G/m)
+down, G the last exponent:
 
-Every step floors, so every computed power is a lower bound, and by
-induction on the steps (x < 1 throughout):
-  - x^1 at width w is X shifted down, short by less than 2 = 3*1 - 1
-    units of 2^-w;
+    H_J = B_J >> k_J,    H_j = (B_j >> k_j) + ((Y >> k_j) H_(j+1) >> (wp - k_(j+1))),
+
+so level j is held in units of 2^(k_j - wp), where x^(mj) < 2^-k_j: each
+level only as wide as x^(mj) needs, and the giant-step products shrink as
+the levels rise.  A sum of N terms costs the baby steps plus J products
+instead of about N; the modulus is the one in _MODULI that minimises baby
+steps + 0.45 J, among those with m^2 <= 64 G and the smallest.  When m > G there are no levels (J = 0) and the kernel is
+pure baby steps: the same code, with Horner's loop empty.
+
+Which terms are drawn, and each k_j, come from a 64-bit chain of upper
+bounds: x-bar is the midpoint rounded up to a 64-bit mantissa, products
+round up, and squaring x-bar s times gives x^(2^s) < 2^-b, hence
+x^n < 2^-(nb/2^s) for every n.  A sum takes its terms through the first
+g > 0 with g b / 2^s >= -L, where 2^L <= 10^-(dps - 3), and k_j is
+floor(mjb / 2^s), capped at wp - bits(J + 1) - bits(6m).  The same chain,
+carried through the baby steps, bounds sum |c| g x^g for the radius.
+Nothing of the chain needs a float; an argument below the grid (X = 0,
+x < u) leaves every power but x^0 at 0 and returns the g = 0 term, since
+its chain bound ends the sum at g = 1.
+
+Rounding.  Every baby step floors, so by induction (x < 1 throughout):
+  - x^1 = X u is short by less than 1 <= 3*1 - 1 units;
   - a product of x^a and x^b short by less than 3a - 1 and 3b - 1 units,
-    with A < 2^w and x^b <= 1, is short by less than (3a - 1) + (3b - 1) +
-    1 = 3(a + b) - 1 units of A's scale, and a shift down leaves a
-    shortfall s < 3d - 1 at less than s/2 + 1 <= 3d - 1.
-The plan decides only which products are formed, not how each one rounds,
-so the bound holds for every plan.  Each computed x^g is short by less than
-3g u, and the exact integer sum of c * p is within 3 * sum |c| g * u of the
-sum of c x^g: that is the rounding allowance, plus one rounding of the
-midpoint to mp.prec.  It is charged against sum |c| g, not against the sum
-itself, so it stays an enclosure when an alternating sum cancels far below
-its terms, as f(-x), phi(-x) and psi(-x) do for x near 1.
+    both at most 1, is short by less than (3a - 1) + (3b - 1) + 1 =
+    3(a + b) - 1 units.
+So each x^r is short by less than 3r - 1 units, Y by less than 3m - 1, and
+B_j u is within sum |c| (3r - 1) u of b_j = sum c x^r.  Horner's floors act
+on signed values, so their error is two-sided.  Write y = x^m, s_j =
+wp - k_j, h_j = H_j 2^-s_j, C_j = sum |c| over level j and C_(>j) the sum
+over the levels above j.  Each level adds two floors of less than 2^-s_j,
+and y^j 2^-s_j <= u because y^j < 2^-k_j.  The cap makes
+2 sum 2^-s_j < 1/(3m), so |h_j| <= C_j + |h_(j+1)| + 2 * 2^-s_j gives
+|h_(j+1)| < C_(>j) + 1/(3m): the truncation of Y and
+(Y >> k_j) costs y^j ((3m - 1) u + 2^-s_j) |h_(j+1)| <= 3m u C_(>j) + u.
+Summed over the levels, with m j + r = g,
+
+    |H_0 u - sum c x^g| < (3 sum |c| g + 3J + 2) u.
+
+That is the rounding allowance, plus one rounding of the midpoint to
+mp.prec.  It is charged against sum |c| g and the level count, never
+against the computed sum, so it stays an enclosure when an alternating sum
+cancels far below its terms, as f(-x), phi(-x) and psi(-x) do for x near 1.
 
 The radius of the argument x enters by the mean-value theorem: over the
 ball, the derivative of the partial sum is at most sum |c| g x^(g-1) *
-(x_hi / x)^G, x_hi the ball's upper end and G the next exponent, where
-sum |c| g x^g <= sum |c| g (p + 3g u).  The tail is bounded at x_hi,
-cbound * x_hi^G / (1 - x_hi).  The bound is rounded upward to radius
+(x_hi / x)^n, x_hi the ball's upper end and n the exponent after the last
+term, with sum |c| g x^g taken from the chain.  The tail is bounded at
+x_hi, cbound * x_hi^n / (1 - x_hi).  The bound is rounded upward to radius
 precision (precision.RADIUS_BITS); only the sum is full width.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from functools import lru_cache
+from itertools import islice
 
 from mpmath import mp, mpf
 
@@ -98,135 +119,178 @@ def nome(m, n, prec: PrecisionSpec) -> Nome:
 # one (as perfbench's tracer does to count terms) reaches every sum
 _terms_f, _terms_phi, _terms_psi = f_terms, phi_terms, psi_terms
 
+# the same rules by stream name, read only to find a stream's residues
+_STREAMS = {"f": f_terms, "phi": phi_terms, "psi": psi_terms}
 
 # a sum runs in units of 2^-(mp.prec + _GUARD_BITS)
 _GUARD_BITS = 10
 
-# 10^-(dps - 3) in those units, per working precision: a term below it ends a sum
+# per working precision, the exponent L with 2^L <= 10^-(dps - 3): a term
+# whose power is below 2^L ends a sum
 _CUTOFFS: dict[int, int] = {}
 
-
-class _Plan:
-    """The addition plan of one term stream.  Entry 0 is x^0 and entry 1 is
-    x^1; every later entry is the product of two earlier ones.  terms[n] is
-    (g, entry, helpers, step) for the n-th term x^g: the helper steps (a, b)
-    that form new gap powers, then the step (a, b) that forms x^g, or None
-    when x^g is entry 0 or 1."""
-
-    def __init__(self):
-        self.terms: list[tuple] = []
-        self.powers = {0: 0, 1: 1}      # term exponent -> entry, in units of u
-        self.helpers: dict[int, int] = {}   # gap exponent -> entry
-        self.prev = 0
-
-    def _entry(self, e: int, steps: list) -> int:
-        """The entry of x^e; a new one is a helper formed from the largest
-        known a < e whose complement is known, else from the largest."""
-        entry = self.helpers.get(e, self.powers.get(e))
-        if entry is None:
-            known = sorted(k for k in (*self.helpers, *self.powers) if 0 < k < e)
-            a = next((a for a in reversed(known)
-                      if e - a in self.helpers or e - a in self.powers), known[-1])
-            steps.append((self._entry(max(a, e - a), steps),
-                          self._entry(min(a, e - a), steps)))
-            entry = self.helpers[e] = len(self.powers) + len(self.helpers)
-        return entry
-
-    def add(self, g: int) -> None:
-        """Plan the stream's next term, x^g with g above every term so far."""
-        helpers, step = [], None
-        if g not in self.powers:
-            gap = g - self.prev
-            a = next((a for a in reversed(self.powers)
-                      if 2 * a >= g and g - a in self.powers), None)
-            if gap in self.helpers or gap in self.powers or a is None:
-                step = self.powers[self.prev], self._entry(gap, helpers)
-            else:
-                step = self.powers[a], self.powers[g - a]
-            self.powers[g] = len(self.powers) + len(self.helpers)
-        self.prev = g
-        self.terms.append((g, self.powers[g], tuple(helpers), step))
+# the moduli the kernel chooses from
+_MODULI = (5, 7, 9, 11, 13, 15, 16, 21, 35, 45, 48, 55, 63, 77, 105, 144,
+           231, 385, 720, 1155)
+# a giant step costs about this many baby steps, as its operands shrink
+_GIANT_COST = 0.45
 
 
-# plans by a stream's first three exponents: 0, 1, then 2 (pentagonal), 4
-# (squares) or 3 (triangular numbers)
-_PLANS: dict[tuple[int, ...], _Plan] = {}
+@lru_cache(maxsize=None)
+def _residues(stream: str, m: int) -> frozenset[int]:
+    """The residues mod m of the stream's exponents.  Each stream repeats
+    mod m with a period of at most 4m + 2 terms: j^2 and j(j+1)/2 repeat
+    after 2m values of j, and the pentagonal j(3j-1)/2 after 2m values of
+    j and of -j."""
+    return frozenset(g % m for g, _, _ in islice(_STREAMS[stream]("plus"), 4 * m + 2))
 
 
-def _powers(terms, x: int, wp: int, cutoff: int):
-    """(g, c, nxt, p) for each term of a stream through the first one with
-    g > 0 and p < cutoff, where p is x^g in units of 2^-wp and x is given in
-    those units.  The powers follow the stream's addition plan, each product
-    at the width its operands need."""
-    terms = iter(terms)
-    head = list(islice(terms, 3))
-    plan = _PLANS.setdefault(tuple(g for g, _, _ in head), _Plan())
-    steps = plan.terms
-    vals, widths = [1 << wp, x], [wp, wp]     # every entry, and its units
-    p = vals[0]
-    for count, (g, c, nxt) in enumerate(chain(head, terms)):
-        if count == len(steps):
-            plan.add(g)
-        planned, entry, helpers, step = steps[count]
-        if planned != g:
-            raise ValueError(f"term x^{g} does not follow the stream's addition plan")
-        if helpers:
-            v = min(wp, p.bit_length())
-            for a, b in helpers:
-                big = vals[a] >> (widths[a] - v)
-                w = big.bit_length()
-                vals.append(big * (vals[b] >> (widths[b] - w)) >> w)
-                widths.append(v)
-        if step is None:
-            p = vals[entry]
-        else:
-            big = vals[step[0]]
-            w = big.bit_length()
-            term = big * (vals[step[1]] >> (widths[step[1]] - w)) >> w
-            if term < p:
-                p = term
-            vals.append(p)
-            widths.append(wp)
-        yield g, c, nxt, p
-        if p < cutoff and g > 0:
+@lru_cache(maxsize=None)
+def _baby_steps(stream: str, m: int) -> tuple[tuple[int, int, int], ...]:
+    """Steps (e, a, b) with e = a + b that form x^e for every residue e > 1
+    of the stream mod m and then for e = m, each from x^0, x^1 and earlier
+    steps.  A residue that is no sum of two known exponents is formed from
+    the largest known one and a helper, the difference, formed first."""
+    known, steps = {0, 1}, []
+
+    def form(e):
+        if e in known:
             return
-        if count >= 100000:
+        a = next((a for a in sorted(known, reverse=True) if e - a in known), None)
+        if a is None:
+            a = max(k for k in known if k < e)
+            form(e - a)
+        steps.append((e, a, e - a))
+        known.add(e)
+
+    for e in (*sorted(_residues(stream, m)), m):
+        form(e)
+    return tuple(steps)
+
+
+@lru_cache(maxsize=1024)
+def _layout(stream: str, top: int) -> tuple[int, tuple]:
+    """(m, baby steps) for a sum whose last exponent is top: the modulus
+    that minimises baby steps + _GIANT_COST * (top // m).  A modulus with
+    m^2 > 64 top is not tried (past the first): its residues would outweigh
+    the giant steps it saves."""
+    best = None
+    for m in _MODULI:
+        if best is not None and m * m > 64 * top:
+            break
+        steps = _baby_steps(stream, m)
+        cost = len(steps) + _GIANT_COST * (top // m)
+        if best is None or cost < best[0]:
+            best = cost, m, steps
+    return best[1:]
+
+
+# the 64-bit chain: (M, e) stands for the upper bound M 2^-e, with
+# 2^63 <= M <= 2^64, and products round up
+
+def _up_start(man: int, exp: int) -> tuple[int, int]:
+    """The chain's bound of man 2^exp, man > 0."""
+    shift = man.bit_length() - 64
+    return man << -shift if shift <= 0 else -(-man >> shift), -exp - shift
+
+
+def _decay(xbar: tuple[int, int], lim: int) -> tuple[int, int]:
+    """(b, s) with x^(2^s) < 2^-b, so that x^n < 2^-(n b / 2^s) for every
+    n >= 0: xbar squared until 2^s is about 16 times the last n with
+    n b / 2^s < -lim, so that n b / 2^s is within 1/16 of a bit of the
+    chain's own bound.  A sum that would run past x^(2^32) fails."""
+    man, e = xbar
+    s = 0
+    while e - man.bit_length() <= -16 * lim:
+        if s == 36:
             raise PrecisionError("theta sum failed to converge")
+        square = man * man
+        shift = square.bit_length() - 64
+        man, e, s = -(-square >> shift), 2 * e - shift, s + 1
+    return e - man.bit_length(), s
+
+
+def _draw(terms, xbar: tuple[int, int], lim: int):
+    """([(g, c), ...], nxt, decay): the stream's terms through the first
+    one whose bound 2^-(g b / 2^s) is at most 2^lim, the exponent after it,
+    and the _decay (b, s) of x."""
+    decay = _decay(xbar, lim)
+    last = ((-lim << decay[1]) - 1) // decay[0]
+    drawn = []
+    for g, c, nxt in terms:
+        drawn.append((g, c))
+        if g > last:
+            return drawn, nxt, decay
+
+
+def _kernel(stream: str, terms: list[tuple[int, int]], X: int, xbar: tuple[int, int],
+            decay: tuple[int, int], wp: int) -> tuple[int, int, int, int]:
+    """(S, A, W, F) for terms [(g, c), ...] with ascending g from g = 0 and
+    x = X u, u = 2^-wp, whose chain bound is xbar and whose _decay is decay:
+    S = sum of c x^g in units of u, with |S u - sum c x^g| <= A u, and
+    W 2^-F >= sum |c| g x^g."""
+    top = terms[-1][0]
+    m, steps = _layout(stream, top)
+    # powers of x at full width, and their bounds in units of 2^-F
+    F = xbar[1] + 64
+    power, bound = {0: 1 << wp, 1: X}, {0: 1 << F, 1: xbar[0] << 64}
+    for e, a, b in steps:
+        if e <= top:
+            power[e] = power[a] * power[b] >> wp
+            bound[e] = -(-(bound[a] * bound[b]) >> F)
+    levels = top // m
+    block, weight = [0] * (levels + 1), [0] * (levels + 1)
+    g_sum = 0
+    for g, c in terms:
+        j, r = divmod(g, m)
+        if c == 1:
+            block[j] += power[r]
+        elif c == -1:
+            block[j] -= power[r]
+        else:
+            block[j] += c * power[r]
+        cg = abs(c) * g
+        weight[j] += cg * bound[r]
+        g_sum += cg
+    # level j is held in units of 2^(k_j - wp), where x^(mj) < 2^-k_j
+    cap = wp - (levels + 1).bit_length() - (6 * m).bit_length()
+    b, s = decay
+    b *= m
+    k = min(levels * b >> s, cap)
+    total = block[levels] >> k
+    weighted = -(-weight[levels] >> k)
+    y = power.get(m)
+    for j in range(levels - 1, -1, -1):
+        above, k = k, min(j * b >> s, cap)
+        total = (block[j] >> k) + ((y >> k) * total >> (wp - above))
+        weighted += -(-weight[j] >> k)
+    return total, 3 * g_sum + 3 * levels + 2, weighted, F
 
 
 def _sum_block(kind: str, x: RealValue) -> RealValue:
     """Sum one primitive block at argument x, 0 < x < 1, at current mp.dps."""
-    if kind in ("f_minus", "f_plus"):
-        terms, cbound = _terms_f(kind.split("_")[1]), 2
-    elif kind in ("phi_plus", "phi_minus"):
-        terms, cbound = _terms_phi(kind.split("_")[1]), 2
-    else:
-        terms, cbound = _terms_psi(kind.split("_")[1]), 1
+    stream, sign = kind.split("_")
+    terms = {"f": _terms_f, "phi": _terms_phi, "psi": _terms_psi}[stream](sign)
+    cbound = 1 if stream == "psi" else 2
 
     xm = x.magnitude
     wp = mp.prec + _GUARD_BITS
-    cutoff = _CUTOFFS.get(mp.prec)
-    if cutoff is None:
-        cutoff = _CUTOFFS[mp.prec] = to_fixed(mpf(10) ** (-(mp.dps - 3)), wp)
-    # exact integers: sum c p and sum |c| g p in units of 2^-wp, sum |c| g
-    # and sum |c| g^2
-    total = weighted = g_sum = g2_sum = 0
-    for g, c, nxt, p in _powers(terms, to_fixed(xm, wp), wp, cutoff):
-        total += c * p
-        cg = abs(c) * g
-        weighted += cg * p
-        g_sum += cg
-        g2_sum += cg * g
+    lim = _CUTOFFS.get(mp.prec)
+    if lim is None:
+        lim = _CUTOFFS[mp.prec] = to_fixed(mpf(10) ** (-(mp.dps - 3)), wp).bit_length() - 1 - wp
+    _, man, exp, _ = xm._mpf_
+    xbar = _up_start(man, exp)
+    drawn, nxt, decay = _draw(terms, xbar, lim)
+    total, allowance, weighted, F = _kernel(stream, drawn, to_fixed(xm, wp), xbar, decay, wp)
+
     x_hi = x.abs_upper()
     # (x_hi / xm)^nxt bounds (xi / xm)^g for every xi in the ball and g <= nxt
     spread = radius_pow(radius_div(x_hi, xm), nxt)
     tail = radius_div(radius_mul(cbound, radius_pow(x_hi, nxt)), radius_sub(1, x_hi))
-    # x^g <= p + 3 g 2^-wp, so (weighted + 3 g2_sum) 2^-wp / xm bounds the
-    # sum of |c| g x^(g-1), which bounds dS/dx at xm
-    propagated = radius_mul(radius_div(radius_fixed(weighted + 3 * g2_sum, wp), xm),
+    # weighted 2^-F / xm bounds the sum of |c| g x^(g-1), which bounds dS/dx
+    propagated = radius_mul(radius_div(radius_fixed(weighted, F), xm),
                             spread, x.error_bound)
-    rounding = radius_fixed(3 * g_sum, wp)
-    return fixed_ball(total, wp, radius_add(tail, propagated, rounding))
+    return fixed_ball(total, wp, radius_add(tail, propagated, radius_fixed(allowance, wp)))
 
 
 def block_value(kind: str, k: int, q: RealValue) -> RealValue:

@@ -249,6 +249,16 @@ def _positive_from_diff(d: RealValue) -> RealValue:
     return (d + (d * d + RealValue.exact(4)).sqrt()) / two
 
 
+def _discriminant(qa: RealValue, qb: RealValue, qc: RealValue) -> RealValue:
+    """The discriminant of  qa z^2 = qb z + qc."""
+    return qb * qb + RealValue.exact(4) * qa * qc
+
+
+def _unresolved(disc: RealValue) -> bool:
+    """Whether a discriminant cannot be told from zero: a double root."""
+    return abs(disc.magnitude) <= 2 * disc.error_bound
+
+
 def _solve_quadratic(qa: RealValue, qb: RealValue, qc: RealValue,
                      boot, what: str) -> RealValue:
     """Root of  qa z^2 = qb z + qc  nearest the bootstrap value.
@@ -262,10 +272,10 @@ def _solve_quadratic(qa: RealValue, qb: RealValue, qc: RealValue,
     solve_pair rebuilds lambda on every attempt, and compute_checked sizes
     the next attempt for that square root.
     """
-    disc = qb * qb + RealValue.exact(4) * qa * qc
+    disc = _discriminant(qa, qb, qc)
     two_a = RealValue.exact(2) * qa
     tol = mp.mpf("1e-6") * max(1, abs(boot))
-    if abs(disc.magnitude) <= 2 * disc.error_bound:
+    if _unresolved(disc):
         center = qb / two_a
         halfwidth = radius_div(radius_sqrt(disc.abs_upper()), two_a.abs_lower())
         root = RealValue(center.magnitude, radius_add(center.error_bound, halfwidth))
@@ -311,15 +321,31 @@ def solve_pair(family: str, m, prec: PrecisionSpec, records=None) -> SolvedPair:
     one = RealValue.exact(1)
     solved = []
 
-    def build() -> RealValue:
+    def equations():
         lam = lambda_value(family, m, recs)
+        ell = lam.value if family == "n3" else lam.value - one / lam.value
+        return lam, _z_coefficients(x_terms, ell), _z_coefficients(y_terms, ell)
+
+    # 12 digits past the caller's target: reproduce_corollary counts agreeing
+    # digits up to the caller's working digits, and at the caller's own target
+    # 18 of run-suite's counts at 100 digits fall from 135 to 126-134
+    spec = PrecisionSpec.of(prec.target_digits + 12, prec.guard_digits)
+    # a double root keeps about half the working digits: when the bootstrap
+    # shows one in a quadratic, start where compute_checked would go after
+    # such a ball, at 2 target + guard
+    if any(max(d for (d, _), _ in terms) == 2 for terms in (x_terms, y_terms)):
+        with workdps(boot_spec.working_digits):
+            _, *eqs = equations()
+        if any(len(eq) == 3 and _unresolved(_discriminant(eq[2], -eq[1], -eq[0]))
+               for eq in eqs):
+            spec = PrecisionSpec(spec.target_digits, spec.target_digits + spec.guard_digits)
+
+    def build() -> RealValue:
+        lam, x_eq, y_eq = equations()
         # the ratio side is in z = x^(kx/2) - x^(-kx/2) with x = a/b,
         # the product side in z = y^(-ky/2) - y^(ky/2) with y = a*b
         hx0 = mp.sqrt(mp.mpf(a0) / mp.mpf(b0)) ** kx
         hy0 = mp.sqrt(mp.mpf(a0) * mp.mpf(b0)) ** ky
-        ell = lam.value if family == "n3" else lam.value - one / lam.value
-        x_eq = _z_coefficients(x_terms, ell)
-        y_eq = _z_coefficients(y_terms, ell)
         x_z = _solve_z(x_eq, hx0 - 1 / hx0, f"{family} ratio quadratic")
         y_z = _solve_z(y_eq, 1 / hy0 - hy0, f"{family} product quadratic")
         ratio = _positive_from_diff(x_z).powf(Fraction(2, kx))
@@ -344,10 +370,7 @@ def solve_pair(family: str, m, prec: PrecisionSpec, records=None) -> SolvedPair:
         # the value furthest from its budget decides whether to escalate
         return max((a_val, b_val), key=lambda v: radius_div(v.error_bound, v.magnitude))
 
-    # 12 digits past the caller's target: reproduce_corollary counts agreeing
-    # digits up to the caller's working digits, and at the caller's own target
-    # 18 of run-suite's counts at 100 digits fall from 135 to 126-134
-    compute_checked(PrecisionSpec.of(prec.target_digits + 12, prec.guard_digits), build)
+    compute_checked(spec, build)
     return solved[0]
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
 from thetaprod import blocks
-from thetaprod.blocks import (BLOCK_KINDS, Nome, _powers, _sum_block, eval_block,
+from thetaprod.blocks import (BLOCK_KINDS, Nome, _sum_block, eval_block,
                               eval_eta_quotient, eval_series_at, nome)
 from thetaprod.precision import PrecisionSpec, RealValue, digits_agreed, to_fixed
 from thetaprod.quotient import EtaQuotient
@@ -243,50 +243,130 @@ def _power_bounds(x: int, g: int, wp: int, extra: int) -> tuple[int, int]:
     return lo, hi
 
 
+STREAMS = {"f": f_terms, "phi": phi_terms, "psi": psi_terms}
+STREAM_NAMES = {terms: name for name, terms in STREAMS.items()}
+
+
+def _kernel_sum(stream: str, sign: str, x: int, wp: int, lim: int):
+    """The terms _sum_block would draw at x 2^-wp and the kernel's
+    (S, A, W, F) for them."""
+    xbar = blocks._up_start(x, -wp)
+    drawn, _, decay = blocks._draw(STREAMS[stream](sign), xbar, lim)
+    return drawn, blocks._kernel(stream, drawn, x, xbar, decay, wp)
+
+
 @pytest.mark.parametrize("stream", [f_terms, phi_terms, psi_terms])
 @pytest.mark.parametrize("digits", [30, 200, 1000])
-def test_power_chain_is_short_by_at_most_3g_units(stream, digits):
-    # each x^g that _powers forms lies in [X^g 2^-(g-1)wp - 3g, X^g 2^-(g-1)wp]
-    # units of 2^-wp.  The exact power is held between two integers at 64
-    # more bits, off by about g of those units, far below the slack of a
-    # chain that floors in every step.  The midpoint rounding that
-    # _sum_block adds dominates its bound, so only this test sees a chain
-    # formed a few bits too narrow
+def test_kernel_sum_is_within_its_allowance(stream, digits):
+    # the exact sum of c x^g is held between two integers at 64 more bits,
+    # off by about g of those units, far below the allowance.  The midpoint
+    # rounding that _sum_block adds dominates its bound, so only this test
+    # sees a kernel that rounds a few bits too coarsely
+    stream = STREAM_NAMES[stream]
     rng = random.Random(digits)
     with workdps(digits):
-        wp = mp.prec + 10
-        cutoff = to_fixed(mpf(10) ** (3 - digits), wp)
-    for _ in range(3):
-        x = rng.randrange(2 ** wp // 1000, 99 * 2 ** wp // 100)
-        for g, _, _, p in _powers(stream("minus"), x, wp, cutoff):
+        wp = mp.prec + blocks._GUARD_BITS
+        lim = to_fixed(mpf(10) ** (3 - digits), wp).bit_length() - 1 - wp
+    points = [rng.randrange(2 ** wp // 1000, 2 ** wp // 2),
+              rng.randrange(9 * 2 ** wp // 10, 99 * 2 ** wp // 100),
+              # x near 2^-(wp/2): the sum ends at g <= 4, with no giant steps
+              rng.randrange(2 ** (wp // 2 - 20), 2 ** (wp // 2))]
+    levels = []
+    for x in points:
+        drawn, (total, allowance, weighted, shift) = _kernel_sum(stream, "minus", x, wp, lim)
+        top = drawn[-1][0]
+        levels.append(top // blocks._layout(stream, top)[0])
+        lo_sum = hi_sum = majorant = 0
+        for g, c in drawn:
             lo, hi = _power_bounds(x, g, wp, 64)
-            assert p << 64 <= lo and hi - (p << 64) <= 3 * g << 64
+            lo_sum += c * (lo if c > 0 else hi)
+            hi_sum += c * (hi if c > 0 else lo)
+            majorant += abs(c) * g * lo
+        assert lo_sum - (allowance << 64) <= total << 64 <= hi_sum + (allowance << 64)
+        assert allowance == 3 * sum(abs(c) * g for g, c in drawn) + 3 * levels[-1] + 2
+        # W 2^-F is at least sum |c| g x^g, which is at least this sum of lo
+        assert weighted << (wp + 64) >= majorant << shift
+    assert levels[0] > 0 and levels[1] > levels[0] and levels[2] == 0
 
 
-# products the addition plans form for the first 200 terms of each stream;
-# the chain of gap powers they replace formed about 1.62 per term
-PLAN_PRODUCTS = {f_terms: 247, phi_terms: 302, psi_terms: 258}
+def _brute_residues(stream: str, m: int) -> set[int]:
+    """Residues mod m of the stream's exponent formula over one period of
+    its index: j^2 repeats after m values of j, j(j+1)/2 after 2m, and
+    j(3j-1)/2 after 2m values of j of either sign."""
+    if stream == "phi":
+        return {j * j % m for j in range(m)}
+    if stream == "psi":
+        return {j * (j + 1) // 2 % m for j in range(2 * m)}
+    return {j * (3 * j - 1) // 2 % m for j in range(-2 * m, 2 * m)}
+
+
+# baby steps plus giant steps for the first 200 terms of each stream; the
+# addition plans these replace formed 247 (f), 302 (phi) and 258 (psi)
+KERNEL_PRODUCTS = {"f": 113, "phi": 113, "psi": 136}
 
 
 @pytest.mark.parametrize("stream", [f_terms, phi_terms, psi_terms])
-def test_addition_plan_forms_each_exponent_from_earlier_entries(stream):
-    # cutoff 0 never ends the sum, so the plan reaches 200 terms
-    wp = 200
-    got = [g for g, _, _, _ in islice(_powers(stream("plus"), (1 << wp) - 1, wp, 0), 200)]
-    assert got == [g for g, _, _ in islice(stream("plus"), 200)]
-    plan = blocks._PLANS[tuple(got[:3])]
-    exponent = {entry: e for table in (plan.powers, plan.helpers)
-                for e, entry in table.items()}
-    entry, products = 2, 0
-    for g, term, helpers, step in plan.terms[:200]:
-        for a, b in helpers + ((step,) if step else ()):
-            assert a < entry and b < entry
-            assert exponent[entry] == exponent[a] + exponent[b]
-            entry += 1
-            products += 1
-        assert exponent[term] == g
-        assert step is None or term == entry - 1
-    assert products <= PLAN_PRODUCTS[stream]
+def test_kernel_forms_each_power_from_earlier_ones(stream):
+    stream = STREAM_NAMES[stream]
+    assert len(blocks._MODULI) <= 24
+    for m in blocks._MODULI:
+        residues = blocks._residues(stream, m)
+        assert residues == _brute_residues(stream, m)
+        known = {0, 1}
+        for e, a, b in blocks._baby_steps(stream, m):
+            assert a in known and b in known and e == a + b
+            known.add(e)
+        assert residues | {m} <= known
+    for count in (2, 3, 30, 200):
+        exponents = [g for g, _, _ in islice(STREAMS[stream]("plus"), count)]
+        top = exponents[-1]
+        m, steps = blocks._layout(stream, top)
+        residues = blocks._residues(stream, m)
+        # each term is j m + r for one level j and one residue r
+        places = [divmod(g, m) for g in exponents]
+        assert len(set(places)) == count
+        assert all(r in residues and j * m + r == g for (j, r), g in zip(places, exponents))
+        products = sum(e <= top for e, _, _ in steps) + top // m
+        if count == 200:
+            assert products <= KERNEL_PRODUCTS[stream]
+        if count == 2:
+            assert top < m and products <= 1
+
+
+@pytest.mark.parametrize("kind", sorted(MPMATH_BLOCKS))
+def test_sum_below_the_fixed_point_grid_is_its_first_term(kind):
+    # x < 2^-wp is 0 on the grid: the sum is the g = 0 term, and its radius
+    # is no more than the tail after it, cbound x / (1 - x), plus the
+    # kernel's allowance for g = 0 and 1 (at most 8 units of 2^-wp) and the
+    # allowance for rounding the midpoint 1 (2 * 10^(2 - dps))
+    with workdps(100):
+        wp = mp.prec + blocks._GUARD_BITS
+        x = mpf(2) ** -(wp + 50)
+        got = _sum_block(kind, RealValue.exact(x))
+        assert got.magnitude == 1
+        assert got.error_bound <= (2 * x / (1 - x) + 8 * mpf(2) ** -wp
+                                   + 2 * mpf(10) ** -98) * (1 + mpf(2) ** -20)
+    with workdps(150):
+        assert abs(got.magnitude - MPMATH_BLOCKS[kind](x)) <= got.error_bound
+
+
+@pytest.mark.parametrize("kind", sorted(BALL_ORACLE))
+def test_sum_near_one_with_many_giant_steps_encloses_mpmath_value(kind):
+    # x = 0.999 at 200 digits runs past exponent 460,000: the widest modulus
+    # and hundreds of giant steps; phi(-x) and psi(-x) cancel to about 10^-255
+    x = Fraction(999, 1000)
+    with workdps(200):
+        wp = mp.prec + blocks._GUARD_BITS
+        xm = mpf(x.numerator) / x.denominator
+        lim = to_fixed(mpf(10) ** -197, wp).bit_length() - 1 - wp
+        drawn, _, _ = blocks._draw(STREAMS[kind.split("_")[0]](kind.split("_")[1]),
+                                   blocks._up_start(*xm._mpf_[1:3]), lim)
+        top = drawn[-1][0]
+        assert top > 400000 and top // blocks._layout(kind.split("_")[0], top)[0] > 100
+        got = _sum_block(kind, RealValue.from_fraction(x))
+    with workdps(250):
+        want = BALL_ORACLE[kind](mpf(x.numerator) / x.denominator)
+        assert abs(got.magnitude - want) <= got.error_bound
 
 
 # ---------------------------------------------------------------------------

@@ -110,9 +110,32 @@ def test_solve_recovers_both_products(family, degree, m):
 
 def test_solve_handles_degenerate_double_root():
     # degree 5 at m = 2: both quadratics collapse to double roots, whose
-    # interval halves the digits; the second attempt is sized for that
+    # interval halves the digits; the one attempt is sized for that
     pair = solved_matches_definitional("n5", 5, 2)
     assert all(r.passed for r in pair.residuals)
+
+
+@pytest.mark.parametrize("family,m,double", [("n5", 2, True), ("n7", 2, True),
+                                             ("n5", 6, False), ("n3", 2, False)])
+def test_solve_sizes_a_double_root_from_the_bootstrap(monkeypatch, family, m, double):
+    # the 20-digit bootstrap sees an unresolved discriminant, so solve_pair's
+    # own compute_checked starts at 2 target + guard digits and never retries;
+    # a simple root keeps the usual target + guard
+    calls = []
+    checked = pipeline.compute_checked
+
+    def counted(spec, builder):
+        calls.append([])
+
+        def attempt():
+            calls[-1].append(mp.dps)
+            return builder()
+        return checked(spec, attempt)
+    monkeypatch.setattr(pipeline, "compute_checked", counted)
+    solve_pair(family, m, P60)
+    target = P60.target_digits + 12
+    assert calls[-1] == [2 * target + P60.guard_digits if double
+                         else target + P60.guard_digits]
 
 
 def test_solve_detects_wrong_lambda(monkeypatch):

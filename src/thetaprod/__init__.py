@@ -42,7 +42,7 @@ from .blocks import (  # noqa: F401
     eval_series_at,
     nome,
 )
-from .relation import Poly2, RationalPair, RelationError, parse_relation  # noqa: F401
+from .relation import Poly2, RelationError, parse_relation  # noqa: F401
 from .catalogue import (  # noqa: F401
     CatalogueError,
     IdentityRecord,

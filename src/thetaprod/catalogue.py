@@ -10,10 +10,15 @@ File format, one record per identity:
       source: "Berndt, Ramanujan's Notebooks IV, Entry 51, p. 204" ;
     }
 
-f(k) stands for the Euler product f(-q^k), fp(k) for f(q^k).  '#' starts a
-comment outside of quoted strings and relation bodies.  Records parse into
-IdentityRecord values carrying both the raw relation text and its cleared
-polynomial form.
+The P and Q lines and the relation are expressions of the package's one
+grammar (grammar.py), read by its one scanner.  A P or Q line is a product
+of powers of q (a rational power), f(k) and fp(k) (integer powers), where
+f(k) stands for the Euler product f(-q^k) and fp(k) for f(q^k); it folds into
+an EtaQuotient.  The relation is a Laurent polynomial in P and Q, divided
+only by monomials (relation.py).  '#' starts a comment running to the end
+of its line, except inside a quoted string; a relation runs to the first
+';', even one inside a comment.  Records parse into IdentityRecord values
+carrying both the raw relation text and its cleared polynomial form.
 """
 from __future__ import annotations
 
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
+from .grammar import Cursor, Dialect, parse_expression
 from .quotient import EtaFactor, EtaQuotient
 from .relation import Poly2, RelationError, parse_relation
 
@@ -60,167 +66,61 @@ class IdentityRecord:
 # parsing
 # ---------------------------------------------------------------------------
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _advance(self, n: int = 1):
-        for _ in range(n):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    def skip(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isspace():
-                self._advance()
-            elif ch == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            else:
-                break
-
-    def at_end(self) -> bool:
-        self.skip()
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def fail(self, message: str):
-        raise CatalogueError(message, self.line, self.col)
-
-    def expect(self, literal: str):
-        self.skip()
-        if not self.text.startswith(literal, self.pos):
-            self.fail(f"expected {literal!r}")
-        self._advance(len(literal))
-
-    def read_ident(self) -> str:
-        self.skip()
-        start = self.pos
-        if not (self.peek().isalpha() or self.peek() == "_"):
-            self.fail("expected an identifier")
-        while self.peek().isalnum() or self.peek() == "_":
-            self._advance()
-        return self.text[start:self.pos]
-
-    def read_int(self) -> int:
-        self.skip()
-        start = self.pos
-        if self.peek() == "-":
-            self._advance()
-        if not self.peek().isdigit():
-            self.fail("expected an integer")
-        while self.peek().isdigit():
-            self._advance()
-        return int(self.text[start:self.pos])
-
-    def read_string(self) -> str:
-        self.expect('"')
-        start = self.pos
-        while self.peek() not in ('"', ""):
-            if self.peek() == "\n":
-                self.fail("unterminated string")
-            self._advance()
-        if self.peek() != '"':
-            self.fail("unterminated string")
-        value = self.text[start:self.pos]
-        self._advance()
-        return value
-
-    def read_until_semicolon(self) -> tuple[str, int, int]:
-        """Raw text up to the next ';' (consumed), with its start position."""
-        self.skip()
-        line0, col0 = self.line, self.col
-        start = self.pos
-        while self.peek() not in (";", ""):
-            self._advance()
-        if self.peek() != ";":
-            self.fail("expected ';'")
-        raw = self.text[start:self.pos]
-        self._advance()
-        return raw.strip(), line0, col0
+def _fold_quotient(node: tuple):
+    """A product of powers of q, f(k) and fp(k) folds to a tuple of pieces:
+    a Fraction for the q-power, an EtaFactor for each factor.  An integer
+    stays an int, to be the scale k of f(k) or fp(k)."""
+    head = node[0]
+    if head == "int":
+        return node[1]
+    if head == "neg" and isinstance(node[1], int):
+        return -node[1]
+    if head == "q":
+        return (Fraction(1),)
+    if head in ("f", "fp") and isinstance(node[1], int):
+        return (EtaFactor(node[1], "minus" if head == "f" else "plus", 1),)
+    if head == "mul" and isinstance(node[1], tuple) and isinstance(node[2], tuple):
+        pieces = node[1] + node[2]
+        if sum(isinstance(p, Fraction) for p in pieces) > 1:
+            raise ValueError("more than one q-power in a quotient")
+        return pieces
+    if head == "pow" and isinstance(node[1], tuple):
+        e = node[2]
+        if e.denominator != 1 and any(isinstance(p, EtaFactor) for p in node[1]):
+            raise ValueError("factor exponents must be integers")
+        return tuple(p * e if isinstance(p, Fraction)
+                     else EtaFactor(p.k, p.sign, p.exponent * e.numerator)
+                     for p in node[1])
+    raise ValueError("expected a product of powers of q, f(k) and fp(k)")
 
 
-def _parse_quotient(cur: _Cursor) -> EtaQuotient:
-    q_power = Fraction(0)
-    saw_q = False
-    factors: list[EtaFactor] = []
-    while True:
-        cur.skip()
-        line0, col0 = cur.line, cur.col
-        name = cur.read_ident()
-        if name == "q":
-            if saw_q:
-                cur.fail("more than one q-power in a quotient")
-            saw_q = True
-            cur.expect("^")
-            cur.expect("(")
-            numer = cur.read_int()
-            denom = 1
-            cur.skip()
-            if cur.peek() == "/":
-                cur.expect("/")
-                denom = cur.read_int()
-            cur.expect(")")
-            try:
-                q_power = Fraction(numer, denom)
-            except ZeroDivisionError:
-                raise CatalogueError("zero denominator in q-power", line0, col0)
-        elif name in ("f", "fp"):
-            cur.expect("(")
-            k = cur.read_int()
-            cur.expect(")")
-            exponent = 1
-            cur.skip()
-            if cur.peek() == "^":
-                cur.expect("^")
-                cur.skip()
-                if cur.peek() == "(":
-                    cur.expect("(")
-                    exponent = cur.read_int()
-                    cur.expect(")")
-                else:
-                    exponent = cur.read_int()
-            sign = "minus" if name == "f" else "plus"
-            try:
-                factors.append(EtaFactor(k, sign, exponent))
-            except ValueError as exc:
-                raise CatalogueError(str(exc), line0, col0)
-        else:
-            cur.fail(f"expected q, f, or fp, found {name!r}")
-        cur.skip()
-        if cur.peek() == "*":
-            cur.expect("*")
-            continue
-        break
+_QUOTIENT = Dialect(frozenset({"q"}), frozenset({"f", "fp"}), "q, f, or fp",
+                    _fold_quotient)
+
+
+def _quotient(cur: Cursor) -> EtaQuotient:
+    start = cur.pos
+    pieces = parse_expression(cur, _QUOTIENT)
+    if not isinstance(pieces, tuple):
+        cur.fail_at(start, "expected q, f, or fp")
+    end = cur.pos + 1
     cur.expect(";")
     try:
-        return EtaQuotient(q_power, tuple(factors))
+        return EtaQuotient(sum((p for p in pieces if isinstance(p, Fraction)), Fraction(0)),
+                           tuple(p for p in pieces if isinstance(p, EtaFactor)))
     except ValueError as exc:
-        raise CatalogueError(str(exc), cur.line, cur.col)
+        cur.fail_at(end, str(exc))
 
 
 def parse_catalogue(text: str) -> list[IdentityRecord]:
-    cur = _Cursor(text)
+    cur = Cursor(text, CatalogueError, 1, 1)
     records: list[IdentityRecord] = []
     seen: dict[str, int] = {}
     while not cur.at_end():
-        cur.skip()
-        head_line = cur.line
+        head_line, _ = cur.where(cur.pos)
         word = cur.read_ident()
         if word != "identity":
-            raise CatalogueError(f"expected 'identity', found {word!r}",
-                                 head_line, cur.col)
+            cur.fail(f"expected 'identity', found {word!r}")
         rid = cur.read_ident()
         if rid in seen:
             raise CatalogueError(
@@ -229,15 +129,13 @@ def parse_catalogue(text: str) -> list[IdentityRecord]:
         seen[rid] = head_line
         cur.expect("{")
 
-        cur.skip()
         cur.expect("P")
         cur.expect("=")
-        p_expr = _parse_quotient(cur)
+        p_expr = _quotient(cur)
 
-        cur.skip()
         cur.expect("Q")
         cur.expect("=")
-        q_expr = _parse_quotient(cur)
+        q_expr = _quotient(cur)
 
         cur.expect("relation")
         cur.expect(":")
@@ -254,9 +152,7 @@ def parse_catalogue(text: str) -> list[IdentityRecord]:
         source = cur.read_string()
         if not source.strip():
             raise CatalogueError(f"empty source tag in identity {rid!r}")
-        cur.skip()
-        if cur.peek() == ";":
-            cur.expect(";")
+        cur.take(";")
         cur.expect("}")
 
         records.append(IdentityRecord(rid, p_expr, q_expr, relation_text,

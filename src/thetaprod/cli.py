@@ -10,6 +10,7 @@ one verification failed, 2 usage or malformed input.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
@@ -390,7 +391,11 @@ def main(argv=None) -> int:
     except (PrecisionError, RootSelectionError, CrossFormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL_EXIT
-    print(report.to_json() if args.json else render_text(report))
+    try:
+        print(report.to_json() if args.json else render_text(report), flush=True)
+    except BrokenPipeError:
+        # the reader has gone, as under `| head`: the rest goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report.passed else FAIL_EXIT
 
 

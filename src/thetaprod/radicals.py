@@ -1,8 +1,9 @@
 """Closed-form radical expressions and the value registry.
 
-The radical grammar covers exactly what nested-surd class-invariant values
-need: integers, + - * /, parentheses, sqrt(), and rational literal
-exponents.  No variables.  Negative bases under fractional exponents are
+A radical is an expression of the package's one grammar (grammar.py) with
+sqrt() as its only call and no names, which is what nested-surd
+class-invariant values need: integers, + - * /, parentheses, sqrt(), and
+rational literal exponents.  Negative bases under fractional exponents are
 domain errors at evaluation time.
 
 The registry is a line-oriented file of closed-form values:
@@ -24,6 +25,7 @@ from importlib import resources
 
 from mpmath import workdps
 
+from .grammar import Dialect, parse_text
 from .precision import PrecisionSpec, RealValue, compute_checked, digits_agreed
 
 
@@ -36,122 +38,16 @@ class RadicalError(ValueError):
 #      | ('pow', base, Fraction) | ('sqrt', a)
 # ---------------------------------------------------------------------------
 
-class _Scan:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def fail(self, message: str):
-        raise RadicalError(f"column {self.pos + 1}: {message}")
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
-
-    def read_int(self) -> int:
-        self.skip()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            self.fail("expected an integer")
-        return int(self.text[start:self.pos])
-
-    def at_word(self, word: str) -> bool:
-        self.skip()
-        return self.text.startswith(word, self.pos)
+_RADICAL = Dialect(frozenset(), frozenset({"sqrt"}), "a number, sqrt(), or '('",
+                   lambda node: node)
 
 
-def _parse_expr(s: _Scan):
-    node = _parse_term(s)
-    while s.peek() in ("+", "-"):
-        op = s.peek()
-        s.pos += 1
-        rhs = _parse_term(s)
-        node = ("add" if op == "+" else "sub", node, rhs)
-    return node
-
-
-def _parse_term(s: _Scan):
-    node = _parse_unary(s)
-    while s.peek() in ("*", "/"):
-        op = s.peek()
-        s.pos += 1
-        rhs = _parse_unary(s)
-        node = ("mul" if op == "*" else "div", node, rhs)
-    return node
-
-
-def _parse_unary(s: _Scan):
-    if s.peek() == "-":
-        s.pos += 1
-        return ("neg", _parse_unary(s))
-    return _parse_power(s)
-
-
-def _parse_power(s: _Scan):
-    base = _parse_atom(s)
-    if s.peek() == "^":
-        s.pos += 1
-        return ("pow", base, _parse_exponent(s))
-    return base
-
-
-def _parse_exponent(s: _Scan) -> Fraction:
-    parens = s.peek() == "("
-    if parens:
-        s.pos += 1
-    neg = s.peek() == "-"
-    if neg:
-        s.pos += 1
-    numer = s.read_int()
-    denom = 1
-    # a fraction bar binds to the exponent only inside parens: x^3/y divides
-    if parens and s.peek() == "/":
-        s.pos += 1
-        denom = s.read_int()
-        if denom == 0:
-            s.fail("zero denominator in exponent")
-    if parens:
-        s.expect(")")
-    value = Fraction(numer, denom)
-    return -value if neg else value
-
-
-def _parse_atom(s: _Scan):
-    if s.at_word("sqrt"):
-        s.pos += 4
-        s.expect("(")
-        inner = _parse_expr(s)
-        s.expect(")")
-        return ("sqrt", inner)
-    ch = s.peek()
-    if ch == "(":
-        s.pos += 1
-        inner = _parse_expr(s)
-        s.expect(")")
-        return inner
-    if ch.isdigit():
-        return ("int", s.read_int())
-    s.fail("expected a number, sqrt(), or '('")
+def _radical_error(message: str, line: int, col: int) -> RadicalError:
+    return RadicalError(f"column {col}: {message}")
 
 
 def parse_radical(text: str):
-    s = _Scan(text)
-    node = _parse_expr(s)
-    s.skip()
-    if s.pos != len(s.text):
-        s.fail("unexpected trailing input")
-    return node
+    return parse_text(text, _RADICAL, _radical_error, 1, 1)
 
 
 def render_radical(node) -> str:

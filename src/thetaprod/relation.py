@@ -1,16 +1,21 @@
-"""Polynomial relations between two eta quotients P and Q.
+"""Poly2 and relation clearing: polynomial relations between two eta
+quotients P and Q.
 
-A relation is written as a rational expression in P and Q with integer
-constants.  Parsing produces a numerator/denominator pair of bivariate
-polynomials; clearing the denominator and stripping the common monomial and
-integer content leaves one primitive integer polynomial whose vanishing is
-the assertion to verify.
+A relation is an expression of the package's one grammar (grammar.py) in the
+names P and Q with integer constants.  It folds, as it is parsed, into a
+Laurent polynomial in P and Q: a divisor, and the base of a negative power,
+must be a nonzero monomial c*P^i*Q^j, which is all the catalogue divides by
+and what keeps the fold a Laurent polynomial.  Multiplying through by the
+lowest powers of P and Q and stripping the integer content leaves one
+primitive integer polynomial whose vanishing is the assertion to verify.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+
+from .grammar import Dialect, parse_text
 
 
 class RelationError(ValueError):
@@ -28,7 +33,8 @@ class RelationError(ValueError):
 
 @dataclass(frozen=True)
 class Poly2:
-    """Polynomial in P and Q: {(i, j): coefficient} with no zero entries."""
+    """Laurent polynomial in P and Q: {(i, j): coefficient} with no zero
+    entries; exponents may be negative."""
     terms: dict[tuple[int, int], Fraction] = field(default_factory=dict)
 
     @staticmethod
@@ -104,182 +110,56 @@ class Poly2:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class RationalPair:
-    num: Poly2
-    den: Poly2
-
-
 # ---------------------------------------------------------------------------
-# tokenizer / parser
+# parsing and clearing
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = "+-*/^()"
+def _reciprocal(p: Poly2) -> Poly2:
+    if p.is_zero():
+        raise ValueError("division by zero expression")
+    if len(p.terms) != 1:
+        raise ValueError(f"division by {p}, which is not a monomial c*P^i*Q^j")
+    ((i, j), c), = p.terms.items()
+    return Poly2({(-i, -j): 1 / c})
 
 
-def _tokenize(text: str, line0: int = 1, col0: int = 1):
-    """Yield (kind, value, line, col); kind in {'int','var','sym','end'}."""
-    line, col = line0, col0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            yield "int", int(text[i:j]), line, col
-            col += j - i
-            i = j
-            continue
-        if ch in ("P", "Q"):
-            nxt = text[i + 1] if i + 1 < len(text) else ""
-            if nxt.isalnum() or nxt == "_":
-                raise RelationError(f"unexpected name starting at {ch!r}", line, col)
-            yield "var", ch, line, col
-            col += 1
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            yield "sym", ch, line, col
-            col += 1
-            i += 1
-            continue
-        raise RelationError(f"unexpected character {ch!r}", line, col)
-    yield "end", None, line, col
+def _fold(node: tuple) -> Poly2:
+    head = node[0]
+    if head == "int":
+        return Poly2.const(node[1])
+    if head in ("P", "Q"):
+        return Poly2.var(head)
+    if head == "neg":
+        return -node[1]
+    if head == "add":
+        return node[1] + node[2]
+    if head == "sub":
+        return node[1] - node[2]
+    if head == "mul":
+        return node[1] * node[2]
+    if head == "div":
+        return node[1] * _reciprocal(node[2])
+    base, e = node[1], node[2]
+    if e.denominator != 1:
+        raise ValueError("expected an integer exponent")
+    return base.pow(e.numerator) if e >= 0 else _reciprocal(base).pow(-e.numerator)
 
 
-class _Parser:
-    def __init__(self, text: str, line0: int = 1, col0: int = 1):
-        self.tokens = list(_tokenize(text, line0, col0))
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str):
-        _, _, line, col = self.peek()
-        raise RelationError(message, line, col)
-
-    # expr := term { (+|-) term }
-    def expr(self) -> RationalPair:
-        left = self.term()
-        while self.peek()[:2] in (("sym", "+"), ("sym", "-")):
-            op = self.take()[1]
-            right = self.term()
-            num = left.num * right.den
-            num = num + right.num * left.den if op == "+" else num - right.num * left.den
-            left = RationalPair(num, left.den * right.den)
-        return left
-
-    # term := unary { (*|/) unary }
-    def term(self) -> RationalPair:
-        left = self.unary()
-        while self.peek()[:2] in (("sym", "*"), ("sym", "/")):
-            op = self.take()[1]
-            right = self.unary()
-            if op == "*":
-                left = RationalPair(left.num * right.num, left.den * right.den)
-            else:
-                if right.num.is_zero():
-                    self.fail("division by zero expression")
-                left = RationalPair(left.num * right.den, left.den * right.num)
-        return left
-
-    # unary := '-' unary | power
-    def unary(self) -> RationalPair:
-        if self.peek()[:2] == ("sym", "-"):
-            self.take()
-            inner = self.unary()
-            return RationalPair(-inner.num, inner.den)
-        return self.power()
-
-    # power := atom [ '^' exponent ]
-    def power(self) -> RationalPair:
-        base = self.atom()
-        if self.peek()[:2] == ("sym", "^"):
-            self.take()
-            e = self.exponent()
-            if e >= 0:
-                return RationalPair(base.num.pow(e), base.den.pow(e))
-            if base.num.is_zero():
-                self.fail("zero raised to a negative power")
-            return RationalPair(base.den.pow(-e), base.num.pow(-e))
-        return base
-
-    def exponent(self) -> int:
-        neg = False
-        parens = False
-        if self.peek()[:2] == ("sym", "("):
-            self.take()
-            parens = True
-        if self.peek()[:2] == ("sym", "-"):
-            self.take()
-            neg = True
-        kind, value, _, _ = self.peek()
-        if kind != "int":
-            self.fail("expected an integer exponent")
-        self.take()
-        if parens:
-            if self.peek()[:2] != ("sym", ")"):
-                self.fail("expected ')' closing the exponent")
-            self.take()
-        return -value if neg else value
-
-    # atom := INT | P | Q | '(' expr ')'
-    def atom(self) -> RationalPair:
-        kind, value, _, _ = self.peek()
-        if kind == "int":
-            self.take()
-            return RationalPair(Poly2.const(value), Poly2.const(1))
-        if kind == "var":
-            self.take()
-            return RationalPair(Poly2.var(value), Poly2.const(1))
-        if (kind, value) == ("sym", "("):
-            self.take()
-            inner = self.expr()
-            if self.peek()[:2] != ("sym", ")"):
-                self.fail("expected ')'")
-            self.take()
-            return inner
-        self.fail("expected a number, P, Q, or '('")
+_RELATION = Dialect(frozenset({"P", "Q"}), frozenset(), "a number, P, Q, or '('", _fold)
 
 
-def parse_relation_pair(text: str, line0: int = 1, col0: int = 1) -> RationalPair:
-    parser = _Parser(text, line0, col0)
-    pair = parser.expr()
-    if parser.peek()[0] != "end":
-        parser.fail("unexpected trailing input")
-    return pair
-
-
-def clear_relation(pair: RationalPair, line0: int = 1, col0: int = 1) -> Poly2:
-    """Reduce num/den = 0 to one primitive integer polynomial.
+def parse_relation(text: str, line0: int = 1, col0: int = 1) -> Poly2:
+    """Parse relation text and return the cleared primitive polynomial.
 
     Rejects relations that clear to nothing (identically zero) or to a single
     monomial, since a lone monomial in positive quantities cannot vanish.
     """
-    if pair.den.is_zero():
-        raise RelationError("relation denominator is the zero polynomial", line0, col0)
-    num = pair.num
-    if num.is_zero():
+    laurent = parse_text(text, _RELATION, RelationError, line0, col0)
+    if laurent.is_zero():
         raise RelationError("relation is identically zero, nothing to verify", line0, col0)
-    min_i = min(i for i, _ in num.terms)
-    min_j = min(j for _, j in num.terms)
-    shifted = {(i - min_i, j - min_j): c for (i, j), c in num.terms.items()}
+    min_i = min(i for i, _ in laurent.terms)
+    min_j = min(j for _, j in laurent.terms)
+    shifted = {(i - min_i, j - min_j): c for (i, j), c in laurent.terms.items()}
     denom_lcm = 1
     for c in shifted.values():
         denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
@@ -293,8 +173,3 @@ def clear_relation(pair: RationalPair, line0: int = 1, col0: int = 1) -> Poly2:
             "relation reduces to a single monomial and cannot define an equation",
             line0, col0)
     return cleared
-
-
-def parse_relation(text: str, line0: int = 1, col0: int = 1) -> Poly2:
-    """Parse relation text and return the cleared primitive polynomial."""
-    return clear_relation(parse_relation_pair(text, line0, col0), line0, col0)

@@ -297,6 +297,20 @@ def test_module_invocation_round_trip():
         assert abs(mp.mpf(value) - mp.exp(-mp.pi)) < mp.mpf("1e-28")
 
 
+
+def test_closed_pipe_is_quiet_and_keeps_the_exit_code():
+    # the reader is gone before anything is written, as under `| head -3`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "thetaprod.cli", "verify-identity", "e24",
+         "--digits", "60", "--series-order", "240"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == ""
+
+
 def test_data_files_are_closed_after_reading():
     data = Path(__file__).resolve().parents[1] / "src" / "thetaprod" / "data"
     files = ["--catalogue", str(data / "catalogue.txt"),

@@ -1,12 +1,13 @@
 """Tests for relation-expression parsing and denominator clearing."""
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from thetaprod.relation import (Poly2, RelationError, clear_relation,
-                                parse_relation, parse_relation_pair)
+from thetaprod.relation import Poly2, RelationError, parse_relation
 
 
 def poly(d):
@@ -101,9 +102,70 @@ def test_fractional_constants_are_cleared():
     assert got == poly({(1, 0): 3, (0, 1): -2})
 
 
-def test_pair_view_before_clearing():
-    pair = parse_relation_pair("P/Q")
-    assert pair.num == poly({(1, 0): 1})
-    assert pair.den == poly({(0, 1): 1})
-    with pytest.raises(RelationError):
-        clear_relation(pair)
+def test_non_monomial_divisor_is_rejected_with_its_column():
+    with pytest.raises(RelationError, match="not a monomial") as info:
+        parse_relation("1/(P+Q) - P")
+    assert (info.value.line, info.value.col) == (1, 2)
+    with pytest.raises(RelationError, match="not a monomial"):
+        parse_relation("(P - Q)^-1 + P")
+
+
+# ---------------------------------------------------------------------------
+# the fold against Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+NONZERO = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
+MONOMIALS = st.builds("{}*P^{}*Q^{}".format, NONZERO, st.integers(-2, 2),
+                      st.integers(-2, 2))
+LEAVES = st.one_of(st.integers(0, 9).map(str), st.sampled_from(["P", "Q"]), MONOMIALS)
+# powers sit at the leaves, so that no nest of them blows the degree up
+POWERS = st.one_of(
+    st.builds("({} {} {})^{}".format, LEAVES, st.sampled_from("+-"), LEAVES,
+              st.integers(0, 3)),
+    st.builds("({})^{}".format, MONOMIALS, st.integers(-2, -1)))
+RELATIONS = st.recursive(
+    st.one_of(LEAVES, POWERS),
+    lambda inner: st.one_of(
+        st.builds("{} {} {}".format, inner, st.sampled_from("+-*"), inner),
+        st.builds("-{}".format, inner),
+        st.builds("{} / ({})".format, inner, MONOMIALS)),
+    max_leaves=6)
+POINTS = st.builds(Fraction, NONZERO, st.integers(1, 7))
+
+
+def fraction_value(text: str, p: Fraction, q: Fraction) -> Fraction:
+    python = re.sub(r"[0-9]+", r"F(\g<0>)", text.replace("^", "**"))
+    return eval(python, {"__builtins__": {}, "F": Fraction, "P": p, "Q": q})
+
+
+def power_of_two(x: Fraction) -> int:
+    e = x.numerator.bit_length() - 1 if x >= 1 else 1 - x.denominator.bit_length()
+    assert x == Fraction(2) ** e
+    return e
+
+
+@settings(max_examples=60, deadline=None)
+@given(RELATIONS, POINTS, POINTS, st.lists(st.tuples(POINTS, POINTS), min_size=3, max_size=3))
+def test_cleared_relation_is_the_value_times_one_monomial(text, p, q, others):
+    try:
+        cleared = parse_relation(text)
+    except RelationError as exc:
+        assert "single monomial" in str(exc) or "identically zero" in str(exc)
+        if "identically zero" in str(exc):
+            assert all(fraction_value(text, x, y) == 0 for x, y in [(p, q), *others])
+        return
+
+    def ratio(x, y):
+        value = fraction_value(text, x, y)
+        assume(value != 0)
+        return Fraction(cleared_value(x, y)) / value
+
+    def cleared_value(x, y):
+        return sum(c * x ** i * y ** j for (i, j), c in cleared.terms.items())
+
+    base = ratio(p, q)
+    a = power_of_two(ratio(2 * p, q) / base)
+    b = power_of_two(ratio(p, 2 * q) / base)
+    c = base / (p ** a * q ** b)
+    for x, y in others:
+        assert cleared_value(x, y) == fraction_value(text, x, y) * c * x ** a * y ** b

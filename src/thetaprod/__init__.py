@@ -33,9 +33,8 @@ from .precision import (  # noqa: F401
     compute_checked,
     digits_agreed,
 )
-from .quotient import EtaFactor, EtaQuotient  # noqa: F401
+from .quotient import BLOCK_KINDS, EtaFactor, EtaQuotient  # noqa: F401
 from .blocks import (  # noqa: F401
-    BLOCK_KINDS,
     Nome,
     eval_block,
     eval_eta_quotient,
@@ -49,7 +48,6 @@ from .catalogue import (  # noqa: F401
     find_record,
     load_builtin,
     parse_catalogue,
-    render_catalogue,
 )
 from .verify import (  # noqa: F401
     Residual,

@@ -87,10 +87,6 @@ from .precision import (PrecisionError, PrecisionSpec, RealValue, compute_checke
 from .quotient import EtaQuotient
 from .series import PowerSeries, f_terms, phi_terms, psi_terms
 
-BLOCK_KINDS = ("f_minus", "f_plus", "phi_plus", "phi_minus",
-               "psi_plus", "psi_minus", "chi_plus", "chi_minus")
-
-
 @dataclass(frozen=True)
 class Nome:
     m: Fraction
@@ -293,35 +289,17 @@ def _sum_block(kind: str, x: RealValue) -> RealValue:
     return fixed_ball(total, wp, radius_add(tail, propagated, radius_fixed(allowance, wp)))
 
 
-def block_value(kind: str, k: int, q: RealValue) -> RealValue:
-    """One theta block at argument q^k, 0 < q < 1, at the current mp.dps."""
-    if kind not in BLOCK_KINDS:
-        raise ValueError(f"unknown block kind {kind!r}")
-    if k < 1:
-        raise ValueError("block scale k must be >= 1")
-    if kind == "chi_plus":
-        return block_value("f_plus", k, q) / block_value("f_minus", 2 * k, q)
-    if kind == "chi_minus":
-        return block_value("f_minus", k, q) / block_value("f_minus", 2 * k, q)
-    return _sum_block(kind, q.powi(k))
-
-
 def eval_block(kind: str, k: int, q: RealValue, prec: PrecisionSpec) -> RealValue:
     """One theta block at argument q^k.  Requires 0 < q < 1."""
-    if not (0 < q.magnitude < 1):
-        raise ValueError("block argument must satisfy 0 < q < 1")
-    return compute_checked(prec, lambda: block_value(kind, k, q))
+    return eval_eta_quotient(EtaQuotient.of(0, [(k, kind, 1)]), q, prec)
 
 
 def quotient_values(exprs, q: RealValue) -> list[RealValue]:
     """Eta quotients at one q, 0 < q < 1, at the current mp.dps; the empty
-    quotient is 1.  Each distinct block f(-q^k) or f(q^k), and each power q^k,
-    is evaluated once for all of them; q^k is the square of q^(k/2) when
-    that is needed too."""
-    def block(f) -> tuple[str, int]:
-        return "f_minus" if f.sign == "minus" else "f_plus", f.k
-
-    blocks = dict.fromkeys(block(f) for expr in exprs for f in expr.factors)
+    quotient is 1.  Each distinct block kind(q^k), and each power q^k, is
+    evaluated once for all of them; q^k is the square of q^(k/2) when that
+    is needed too."""
+    blocks = dict.fromkeys((f.kind, f.k) for expr in exprs for f in expr.factors)
     args: dict[int, RealValue] = {}
     for k in sorted({k for _, k in blocks}):
         args[k] = args[k // 2].powi(2) if k % 2 == 0 and k // 2 in args else q.powi(k)
@@ -333,7 +311,7 @@ def quotient_values(exprs, q: RealValue) -> list[RealValue]:
         top = q.powf(expr.q_power) if expr.q_power != 0 else RealValue.exact(1)
         bottom = None
         for f in expr.factors:
-            power = sums[block(f)].powi(abs(f.exponent))
+            power = sums[f.kind, f.k].powi(abs(f.exponent))
             if f.exponent > 0:
                 top = top * power
             else:

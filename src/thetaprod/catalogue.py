@@ -53,14 +53,6 @@ class IdentityRecord:
         return max(self.p_expr.natural_nome_index(),
                    self.q_expr.natural_nome_index())
 
-    def render(self) -> str:
-        return (f"identity {self.id} {{\n"
-                f"  P = {self.p_expr.render()} ;\n"
-                f"  Q = {self.q_expr.render()} ;\n"
-                f"  relation: {self.relation_text} ;\n"
-                f"  source: \"{self.source}\" ;\n"
-                f"}}")
-
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -78,7 +70,7 @@ def _fold_quotient(node: tuple):
     if head == "q":
         return (Fraction(1),)
     if head in ("f", "fp") and isinstance(node[1], int):
-        return (EtaFactor(node[1], "minus" if head == "f" else "plus", 1),)
+        return (EtaFactor(node[1], "f_minus" if head == "f" else "f_plus", 1),)
     if head == "mul" and isinstance(node[1], tuple) and isinstance(node[2], tuple):
         pieces = node[1] + node[2]
         if sum(isinstance(p, Fraction) for p in pieces) > 1:
@@ -89,7 +81,7 @@ def _fold_quotient(node: tuple):
         if e.denominator != 1 and any(isinstance(p, EtaFactor) for p in node[1]):
             raise ValueError("factor exponents must be integers")
         return tuple(p * e if isinstance(p, Fraction)
-                     else EtaFactor(p.k, p.sign, p.exponent * e.numerator)
+                     else EtaFactor(p.k, p.kind, p.exponent * e.numerator)
                      for p in node[1])
     raise ValueError("expected a product of powers of q, f(k) and fp(k)")
 
@@ -158,10 +150,6 @@ def parse_catalogue(text: str) -> list[IdentityRecord]:
         records.append(IdentityRecord(rid, p_expr, q_expr, relation_text,
                                       poly, source))
     return records
-
-
-def render_catalogue(records) -> str:
-    return "\n\n".join(rec.render() for rec in records) + "\n"
 
 
 def find_record(records, rid: str) -> IdentityRecord:

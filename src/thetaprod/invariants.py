@@ -1,7 +1,9 @@
 """Class invariants g and G and their companion relations.
 
 g(n) = 2^(-1/4) q^(-1/24) chi(-q) and G(n) = 2^(-1/4) q^(-1/24) chi(q) at
-q = exp(-pi sqrt(n)), for positive rational n.  Known closed forms come from
+q = exp(-pi sqrt(n)), for positive rational n.  As chi(+-q) = f(+-q)/f(-q^2),
+each is the irrational constant 2^(-1/4) times an eta quotient at q itself
+(the products' root nome q^(1/b), with b = 1).  Known closed forms come from
 the registry; solve_companion derives one invariant from another through a
 classical modular relation, and quad4_36_value one invariant product from
 another, which is how values at awkward rational arguments are reached.
@@ -13,9 +15,10 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .blocks import block_value, nome_value
+from .blocks import nome_value, quotient_value
 from .precision import (PrecisionError, PrecisionSpec, RealValue, compute_checked,
                         radius_add, radius_div, radius_mul)
+from .quotient import EtaQuotient
 from .radicals import CorollaryRecord, load_builtin_registry, registry_find
 
 COMPANIONS = ("triple3", "deg13")
@@ -38,10 +41,9 @@ class InvariantValue:
 
 def invariant_value(kind: str, n: Fraction) -> RealValue:
     """g(n) ("g") or G(n) ("G") at the current mp.dps; n a positive Fraction."""
-    block = "chi_minus" if kind == "g" else "chi_plus"
-    q = nome_value(n)
-    scale = RealValue.exact(2).powf(Fraction(-1, 4))
-    return scale * q.powf(Fraction(-1, 24)) * block_value(block, 1, q)
+    block = "f_minus" if kind == "g" else "f_plus"
+    expr = EtaQuotient.of(Fraction(-1, 24), [(1, block, 1), (2, "f_minus", -1)])
+    return RealValue.exact(2).powf(Fraction(-1, 4)) * quotient_value(expr, nome_value(n))
 
 
 def _invariant(kind: str, n, prec: PrecisionSpec) -> InvariantValue:

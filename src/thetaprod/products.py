@@ -5,26 +5,27 @@ classically equivalent theta-block forms, and every form is one formula,
 
     n * q^((n-1)/4) * prod over its blocks B of (B(q^n) / B(q))^2,
 
-over the blocks that FORMS lists for it.  a_numeric and b_numeric compute
-all of a product's forms and insist they agree to target precision.  The
-nome and the forms are computed in one compute_checked call, which widens
-the working precision until every form meets the budget; a disagreement
-left after that can only mean a transcription or evaluation bug, so it is
-a hard error rather than a warning.  product_value is the single-form
-evaluation at the current precision.
+over the blocks that FORMS lists for it.  For n = a/b in lowest terms that
+is n R^2, R = rho^((a-b)/8) prod B(rho^a) / B(rho^b) an eta quotient at the
+root nome rho = q^(1/b), in which equal factors cancel (all of them at n = 1).
+a_numeric and b_numeric evaluate all of a product's forms, at one nome and
+in one compute_checked call that widens the working precision until every
+form meets the budget, and insist they agree to target precision; a
+disagreement left after that can only mean a transcription or evaluation
+bug, so it is a hard error rather than a warning.  product_value is the
+first form's value at the current precision.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import block_value, nome_value
+from .blocks import nome_value, quotient_values
 from .precision import (PrecisionSpec, RealValue, compute_checked, digits_agreed,
                         radius_div)
+from .quotient import EtaQuotient
 
-# product -> form -> its blocks, each (block kind, k) for B(x) = kind(x^k).
-# An euler_quotient form is n / root^2 with root = q^(-(n-1)/8) F(q)/F(q^n),
-# F the product of its f-blocks: the same formula.
+# product -> form -> its blocks, each (block kind, k) for B(x) = kind(x^k)
 FORMS = {
     "a": {"psi_phi_even": (("psi_plus", 1), ("phi_minus", 2)),
           "psi_phi_twisted": (("psi_minus", 1), ("phi_plus", 1)),
@@ -49,19 +50,29 @@ class ProductValue:
     forms_checked: tuple[str, ...]
 
 
-def _form_value(which: str, form: str, n: Fraction, q: RealValue) -> RealValue:
-    qn = q.powf(n)
-    quotient = RealValue.exact(1)
+def _form_quotient(which: str, form: str, n: Fraction) -> EtaQuotient:
+    """The root R of a form at n = a/b, an eta quotient at rho = q^(1/b)."""
+    a, b = n.numerator, n.denominator
+    exponents: dict[tuple[int, str], int] = {}
     for kind, k in FORMS[which][form]:
-        quotient = quotient * block_value(kind, k, qn) / block_value(kind, k, q)
-    return RealValue.from_fraction(n) * q.powf((n - 1) / 4) * quotient.powi(2)
+        for key, e in (((a * k, kind), 1), ((b * k, kind), -1)):
+            exponents[key] = exponents.get(key, 0) + e
+    return EtaQuotient.of(Fraction(a - b, 8),
+                          [(k, kind, e) for (k, kind), e in exponents.items() if e])
+
+
+def _evaluate_forms(which: str, forms, m: Fraction, n: Fraction) -> list[RealValue]:
+    """The forms' values n R^2 at the current mp.dps."""
+    roots = quotient_values([_form_quotient(which, form, n) for form in forms],
+                            nome_value(m / (n * n.denominator ** 2)))
+    scale = RealValue.from_fraction(n)
+    return [scale * root.powi(2) for root in roots]
 
 
 def product_value(which: str, m, n) -> RealValue:
     """a(m, n) ("a") or b(m, n) ("b") from its first form, at the current
     mp.dps."""
-    m, n = Fraction(m), Fraction(n)
-    return _form_value(which, next(iter(FORMS[which])), n, nome_value(m / n))
+    return _evaluate_forms(which, tuple(FORMS[which])[:1], Fraction(m), Fraction(n))[0]
 
 
 def _evaluate(which: str, m, n, prec: PrecisionSpec) -> ProductValue:
@@ -72,8 +83,7 @@ def _evaluate(which: str, m, n, prec: PrecisionSpec) -> ProductValue:
     accepted = []       # the forms' values and agreement at the last attempt
 
     def build() -> RealValue:
-        q = nome_value(m / n)
-        values = [_form_value(which, form, n, q) for form in forms]
+        values = _evaluate_forms(which, forms, m, n)
         agreement = min(digits_agreed(x, values[0]) for x in values[1:])
         accepted[:] = [values, agreement]
         # the form furthest from its budget decides whether to escalate, so

@@ -1,6 +1,7 @@
-"""Eta-quotient expressions: rational q-power times a product of f(-q^k) or
-f(q^k) powers.  Shared between the identity catalogue, the numeric evaluator,
-and the exact-series builder."""
+"""Eta-quotient expressions: rational q-power times a product of integer
+powers of theta blocks at q^k.  Shared between the identity catalogue, the
+numeric evaluator, the products, the invariants and the exact-series
+builder; only f factors expand exactly."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,28 +9,23 @@ from fractions import Fraction
 
 from .series import LATTICE, PowerSeries, mul, pow_int, series_f, shift
 
-SIGNS = ("minus", "plus")
+# f(-x), f(x), phi(x), phi(-x), psi(x), psi(-x)
+BLOCK_KINDS = ("f_minus", "f_plus", "phi_plus", "phi_minus", "psi_plus", "psi_minus")
 
 
 @dataclass(frozen=True)
 class EtaFactor:
     k: int
-    sign: str          # "minus" for f(-q^k), "plus" for f(q^k)
+    kind: str          # one of BLOCK_KINDS, at argument q^k
     exponent: int
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("factor argument scale k must be >= 1")
-        if self.sign not in SIGNS:
-            raise ValueError(f"unknown factor sign {self.sign!r}")
+        if self.kind not in BLOCK_KINDS:
+            raise ValueError(f"unknown block kind {self.kind!r}")
         if self.exponent == 0:
             raise ValueError("factor exponent must be nonzero")
-
-    def render(self) -> str:
-        name = "f" if self.sign == "minus" else "fp"
-        if self.exponent == 1:
-            return f"{name}({self.k})"
-        return f"{name}({self.k})^{self.exponent}"
 
 
 @dataclass(frozen=True)
@@ -42,17 +38,17 @@ class EtaQuotient:
             raise ValueError(f"q-power {self.q_power} is off the 1/{LATTICE} lattice")
         seen = set()
         for f in self.factors:
-            key = (f.k, f.sign)
+            key = (f.k, f.kind)
             if key in seen:
-                raise ValueError(f"duplicate factor f({f.k}) with sign {f.sign}")
+                raise ValueError(f"duplicate factor {f.kind}({f.k})")
             seen.add(key)
-        ordered = tuple(sorted(self.factors, key=lambda f: (f.k, f.sign)))
+        ordered = tuple(sorted(self.factors, key=lambda f: (f.k, f.kind)))
         object.__setattr__(self, "factors", ordered)
 
     @staticmethod
     def of(q_power: Fraction | int, factors) -> EtaQuotient:
         return EtaQuotient(Fraction(q_power),
-                           tuple(EtaFactor(k, sign, e) for k, sign, e in factors))
+                           tuple(EtaFactor(k, kind, e) for k, kind, e in factors))
 
     @property
     def lattice_shift(self) -> int:
@@ -76,18 +72,11 @@ class EtaQuotient:
 
         Below the q-prefix (order < lattice_shift) the factors are still
         expanded to order 0, so the result reaches past the request."""
+        others = [f"{f.kind}({f.k})" for f in self.factors if not f.kind.startswith("f_")]
+        if others:
+            raise ValueError(f"only f factors expand exactly, not {', '.join(others)}")
         inner = max(order - self.lattice_shift, 0)
         out = PowerSeries.one(inner)
         for f in self.factors:
-            out = mul(out, pow_int(series_f(f.k, f.sign, inner), f.exponent))
+            out = mul(out, pow_int(series_f(f.k, f.kind[2:], inner), f.exponent))
         return shift(out, self.lattice_shift)
-
-    def render(self) -> str:
-        parts = []
-        if self.q_power != 0:
-            if self.q_power.denominator == 1:
-                parts.append(f"q^({self.q_power.numerator})")
-            else:
-                parts.append(f"q^({self.q_power.numerator}/{self.q_power.denominator})")
-        parts.extend(f.render() for f in self.factors)
-        return " * ".join(parts) if parts else "1"

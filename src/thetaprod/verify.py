@@ -37,10 +37,11 @@ from typing import NamedTuple
 from mpmath import mp, mpf, workdps
 from mpmath.libmp import from_int, from_man_exp, from_rational, mpf_mul, mpf_pow_int
 
-from .blocks import block_value, nome, quotient_values
+from .blocks import nome, quotient_values
 from .catalogue import IdentityRecord
 from .precision import (PrecisionSpec, RealValue, fixed_ball, radius_add, radius_div,
                         radius_expm1, radius_fixed, radius_mul, radius_pow, to_mantissa)
+from .quotient import EtaQuotient
 from .series import SeriesCheck, pack
 
 PROBE_FRACTIONS = (Fraction(1, 100), Fraction(1, 20),
@@ -352,13 +353,12 @@ def verify_multiplier13(q, prec: PrecisionSpec) -> Residual:
     quarter, sixth = Fraction(1, 4), Fraction(1, 6)
     one = RealValue.exact(1)
     with workdps(prec.working_digits):
-        phi_p1 = block_value("phi_plus", 1, q)
-        phi_m1 = block_value("phi_minus", 1, q)
-        phi_p13 = block_value("phi_plus", 13, q)
-        phi_m13 = block_value("phi_minus", 13, q)
-        alpha = one - (phi_m1 / phi_p1).powi(4)
-        beta = one - (phi_m13 / phi_p13).powi(4)
-        mult = (phi_p1 / phi_p13).powi(2)
+        # (phi(-q)/phi(q))^4, the same at q^13, and m
+        ratio1, ratio13, mult = quotient_values([EtaQuotient.of(0, factors) for factors in (
+            [(1, "phi_minus", 4), (1, "phi_plus", -4)],
+            [(13, "phi_minus", 4), (13, "phi_plus", -4)],
+            [(1, "phi_plus", 2), (13, "phi_plus", -2)])], q)
+        alpha, beta = one - ratio1, one - ratio13
 
         def side(lhs: RealValue, top: RealValue, bot: RealValue) -> RealValue:
             mixed = (top * (one - top)) / (bot * (one - bot))

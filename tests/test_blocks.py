@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
 from thetaprod import blocks
-from thetaprod.blocks import (BLOCK_KINDS, Nome, _sum_block, eval_block,
-                              eval_eta_quotient, eval_series_at, nome)
+from thetaprod.blocks import (Nome, _sum_block, eval_block, eval_eta_quotient,
+                              eval_series_at, nome)
 from thetaprod.precision import PrecisionSpec, RealValue, digits_agreed, to_fixed
-from thetaprod.quotient import EtaQuotient
+from thetaprod.quotient import BLOCK_KINDS, EtaQuotient
 from thetaprod.series import (f_terms, mul, phi_terms, psi_terms, series_f, series_phi,
                               series_psi)
 
@@ -55,16 +55,6 @@ def brute_block(kind, k, q, terms=400):
         for n in range(1, terms):
             prod *= 1 + x ** (2 * n - 1)      # chi(x)
         return prod * brute_block("f_minus", 2, q ** k)
-    if kind == "chi_plus":
-        prod = mpf(1)
-        for n in range(1, terms):
-            prod *= 1 + x ** (2 * n - 1)
-        return prod
-    if kind == "chi_minus":
-        prod = mpf(1)
-        for n in range(1, terms):
-            prod *= 1 - x ** (2 * n - 1)
-        return prod
     raise AssertionError(kind)
 
 
@@ -133,15 +123,6 @@ def test_block_product_identity_psi_phi():
     with workdps(80):
         lhs = eval_block("f_plus", 1, q, P60) * eval_block("f_minus", 2, q, P60)
         rhs = eval_block("psi_minus", 1, q, P60) * eval_block("phi_plus", 1, q, P60)
-        assert digits_agreed(lhs, rhs) >= 58
-
-
-def test_block_chi_complement_identity():
-    # chi(q) chi(-q) = chi(-q^2)
-    q = probe("0.25")
-    with workdps(80):
-        lhs = eval_block("chi_plus", 1, q, P60) * eval_block("chi_minus", 1, q, P60)
-        rhs = eval_block("chi_minus", 2, q, P60)
         assert digits_agreed(lhs, rhs) >= 58
 
 
@@ -380,7 +361,7 @@ def test_empty_quotient_is_one():
 
 def test_quotient_matches_blockwise_product():
     q = probe("0.15")
-    expr = EtaQuotient.of(Fraction(-1, 6), [(1, "minus", 2), (3, "minus", -2)])
+    expr = EtaQuotient.of(Fraction(-1, 6), [(1, "f_minus", 2), (3, "f_minus", -2)])
     got = eval_eta_quotient(expr, q, P60)
     with workdps(90):
         direct = (q.powf(Fraction(-1, 6))
@@ -391,7 +372,7 @@ def test_quotient_matches_blockwise_product():
 
 def test_quotient_with_plus_factor():
     q = probe("0.2")
-    expr = EtaQuotient.of(0, [(1, "plus", 1), (2, "minus", 1)])
+    expr = EtaQuotient.of(0, [(1, "f_plus", 1), (2, "f_minus", 1)])
     got = eval_eta_quotient(expr, q, P60)
     with workdps(90):
         direct = eval_block("f_plus", 1, q, P60) * eval_block("f_minus", 2, q, P60)

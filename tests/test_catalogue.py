@@ -7,8 +7,7 @@ import pytest
 from mpmath import mp, workdps
 
 from thetaprod.catalogue import (CatalogueError, IdentityRecord, find_record,
-                                 load_builtin, parse_catalogue,
-                                 render_catalogue)
+                                 load_builtin, parse_catalogue)
 from thetaprod.quotient import EtaQuotient
 from thetaprod.verify import verify_series
 
@@ -40,7 +39,7 @@ def test_sample_record_structure():
     (rec,) = parse_catalogue(SAMPLE)
     assert rec.id == "dup3"
     assert rec.p_expr == EtaQuotient.of(Fraction(-1, 6),
-                                        [(1, "minus", 2), (3, "minus", -2)])
+                                        [(1, "f_minus", 2), (3, "f_minus", -2)])
     assert rec.q_expr.q_power == Fraction(-1, 3)
     assert rec.relation_text.startswith("P*Q + 9/(P*Q)")
     assert (1, 1) not in rec.relation_poly.terms  # cleared form has no PQ floor
@@ -59,10 +58,10 @@ def test_whitespace_insensitive():
            (b.id, b.p_expr, b.q_expr, b.relation_poly, b.source)
 
 
-def test_round_trip_through_render():
-    records = load_builtin()
-    again = parse_catalogue(render_catalogue(records))
-    assert again == records
+def test_only_f_factors_expand_exactly():
+    expr = EtaQuotient.of(Fraction(1, 8), [(1, "f_minus", 1), (2, "phi_plus", -1)])
+    with pytest.raises(ValueError, match=r"phi_plus\(2\)"):
+        expr.to_series(48)
 
 
 def test_find_record():
@@ -160,7 +159,7 @@ def brute_quotient(expr: EtaQuotient, q, terms=200):
     val = q ** (mp.mpf(expr.q_power.numerator) / expr.q_power.denominator)
     for f in expr.factors:
         x = q ** f.k
-        if f.sign == "minus":
+        if f.kind == "f_minus":
             block = mp.fprod(1 - x ** n for n in range(1, terms))
         else:
             chi = mp.fprod(1 + x ** (2 * n - 1) for n in range(1, terms))

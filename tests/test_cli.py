@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -114,15 +115,15 @@ def test_eval_b_escalates_near_the_cusp(capsys):
 
 
 def test_cross_form_disagreement_is_an_error(capsys, monkeypatch):
-    form_value = products._form_value
+    quotient_values = products.quotient_values
+    euler = products._form_quotient("b", "euler_quotient", Fraction(13))
 
-    def one_form_off(which, form, n, q):
-        value = form_value(which, form, n, q)
-        if form == "euler_quotient":
-            value = value * RealValue.exact(mp.mpf("1.000000000001"))
-        return value
+    def one_form_off(exprs, q):
+        values = quotient_values(exprs, q)
+        return [v * RealValue.exact(mp.mpf("1.000000000001")) if e == euler else v
+                for e, v in zip(exprs, values)]
 
-    monkeypatch.setattr(products, "_form_value", one_form_off)
+    monkeypatch.setattr(products, "quotient_values", one_form_off)
     code, out, err = run_cli(capsys, "eval-b", "8", "13", "--digits", "30")
     assert code == 1
     assert out == ""

@@ -72,6 +72,28 @@ def test_small_g_is_certified_to_significant_digits():
     assert value.meets(spec)
 
 
+@pytest.mark.parametrize("n", [5, Fraction(1, 30000)])
+def test_G_matches_the_product_formula(n):
+    n, spec = Fraction(n), PrecisionSpec.of(50)
+    value = G_numeric(n, spec).value
+    with workdps(100):
+        q = mp.exp(-mp.pi * mp.sqrt(mp.mpf(n.numerator) / n.denominator))
+        # chi(q) = (-q; q^2)_infinity
+        want = mp.mpf(2) ** (mp.mpf(-1) / 4) * q ** (mp.mpf(-1) / 24) * mp.qp(-q, q * q)
+        assert abs(value.magnitude - want) <= value.error_bound
+    assert value.meets(spec)
+
+
+@pytest.mark.parametrize("n", [7, Fraction(1, 3)])
+def test_weber_duplication(n):
+    # g(4n) = 2^(1/4) g(n) G(n), with the balls overlapping
+    with workdps(P60.working_digits):
+        lhs = g_numeric(4 * n, P60).value
+        rhs = (RealValue.exact(2).powf(Fraction(1, 4))
+               * g_numeric(n, P60).value * G_numeric(n, P60).value)
+        assert abs(lhs.magnitude - rhs.magnitude) <= lhs.error_bound + rhs.error_bound
+
+
 def test_invariant_value_fields():
     inv = g_numeric(30, P60)
     assert inv.kind == "g"

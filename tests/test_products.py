@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
 from thetaprod import products
-from thetaprod.blocks import nome_value
 from thetaprod.precision import (PrecisionError, PrecisionSpec, RealValue,
                                  compute_checked, digits_agreed)
 from thetaprod.products import (A_FORMS, B_FORMS, FORMS, CrossFormError,
@@ -72,15 +71,15 @@ def test_rejects_nonpositive_parameters():
 def test_every_form_must_meet_the_budget(monkeypatch):
     # a form whose bound never meets the budget fails the evaluation, even
     # though the other form alone would
-    form_value = products._form_value
+    quotient_values = products.quotient_values
+    euler = products._form_quotient("b", "euler_quotient", Fraction(13))
 
-    def one_form_vague(which, form, n, q):
-        value = form_value(which, form, n, q)
-        if form == "euler_quotient":
-            value = RealValue(value.magnitude, mpf(1))
-        return value
+    def one_form_vague(exprs, q):
+        values = quotient_values(exprs, q)
+        return [RealValue(v.magnitude, mpf(1)) if e == euler else v
+                for e, v in zip(exprs, values)]
 
-    monkeypatch.setattr(products, "_form_value", one_form_vague)
+    monkeypatch.setattr(products, "quotient_values", one_form_vague)
     with pytest.raises(PrecisionError):
         b_numeric(8, 13, P50)
 
@@ -127,12 +126,13 @@ def readme_product(which, m, n):
             / (psi(q) ** 2 * phi(-q ** k) ** 2))
 
 
-@pytest.mark.parametrize("m, n", [(2, 3), (Fraction(3, 2), Fraction(5, 2))])
+@pytest.mark.parametrize("m, n", [(2, 3), (Fraction(3, 2), Fraction(5, 2)),
+                                  (3, 2), (5, 1), (7, Fraction(7, 6))])
 @pytest.mark.parametrize("which, form",
                          [(w, f) for w, forms in FORMS.items() for f in forms])
 def test_every_form_matches_the_readme_formula(which, form, m, n):
     with workdps(70):
-        got = products._form_value(which, form, Fraction(n), nome_value(Fraction(m) / n))
+        (got,) = products._evaluate_forms(which, (form,), Fraction(m), Fraction(n))
     with workdps(90):
         want = readme_product(which, m, n)
         assert digits_agreed(got.magnitude, want) >= 40

@@ -133,7 +133,7 @@ def test_numeric_sums_each_distinct_block_once(monkeypatch):
         before = len(calls)
         assert verify_numeric(rec, "1/10", P50).passed
         counts[rec.id] = len(calls) - before
-        assert counts[rec.id] == len({(f.k, f.sign) for expr in (rec.p_expr, rec.q_expr)
+        assert counts[rec.id] == len({(f.k, f.kind) for expr in (rec.p_expr, rec.q_expr)
                                       for f in expr.factors})
     assert counts["bal3"] == 6
     assert sum(counts.values()) == 100
@@ -185,7 +185,7 @@ def mpmath_quotient(expr, q):
     out = q ** (mpf(expr.q_power.numerator) / expr.q_power.denominator)
     for f in expr.factors:
         x = q ** f.k
-        out *= (mp.qp(x) if f.sign == "minus" else mp.qp(-x, -x)) ** f.exponent
+        out *= (mp.qp(x) if f.kind == "f_minus" else mp.qp(-x, -x)) ** f.exponent
     return out
 
 

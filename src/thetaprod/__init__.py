@@ -58,8 +58,6 @@ from .verify import (  # noqa: F401
     verify_series,
 )
 from .products import (  # noqa: F401
-    A_FORMS,
-    B_FORMS,
     CrossFormError,
     ProductValue,
     a_numeric,
@@ -74,7 +72,6 @@ from .radicals import (  # noqa: F401
     parse_radical,
     parse_registry,
     registry_find,
-    render_radical,
     verify_corollary,
 )
 from .invariants import (  # noqa: F401

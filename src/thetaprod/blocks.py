@@ -308,14 +308,15 @@ def quotient_values(exprs, q: RealValue) -> list[RealValue]:
     for expr in exprs:
         # q^q_power times the factors with positive exponents, divided once
         # by the product of the others
-        top = q.powf(expr.q_power) if expr.q_power != 0 else RealValue.exact(1)
+        top = q.powf(expr.q_power) if expr.q_power != 0 else None
         bottom = None
         for f in expr.factors:
             power = sums[f.kind, f.k].powi(abs(f.exponent))
             if f.exponent > 0:
-                top = top * power
+                top = power if top is None else top * power
             else:
                 bottom = power if bottom is None else bottom * power
+        top = RealValue.exact(1) if top is None else top
         out.append(top if bottom is None else top / bottom)
     return out
 

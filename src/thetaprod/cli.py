@@ -4,8 +4,10 @@ Commands evaluate individual quantities (eval-a, eval-b, eval-invariant,
 eval-nome), verify catalogued identities exactly and numerically
 (verify-identity), re-check registry closed forms (verify-corollary),
 rebuild product values through the invariant pipeline (reproduce), or run
-the whole battery (run-suite).  Exit codes: 0 all checks pass, 1 at least
-one verification failed, 2 usage or malformed input.
+the whole battery (run-suite).  One table, _COMMANDS, declares each
+command's arguments and handler; every command takes --digits and --json
+and, beyond those, only the options it reads.  Exit codes: 0 all checks
+pass, 1 at least one verification failed, 2 usage or malformed input.
 """
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ from mpmath import mp, workdps
 
 from .blocks import nome
 from .catalogue import CatalogueError, find_record, load_builtin, parse_catalogue
-from .invariants import G_numeric, RootSelectionError, g_numeric, solve_companion
+from .invariants import (G_numeric, RootSelectionError, g_numeric, registry_lookup,
+                         solve_companion)
 from .pipeline import reproduce_corollary, reproduce_ids
 from .precision import PrecisionError, PrecisionSpec, digits_agreed
 from .products import CrossFormError, a_numeric, b_numeric
@@ -36,7 +39,6 @@ from .radicals import (
 from .report import CheckRecord, RunReport, render_text
 from .verify import (
     default_probes,
-    default_tolerance,
     verify_multiplier13,
     verify_numeric,
     verify_series,
@@ -48,73 +50,6 @@ FAIL_EXIT = 1
 
 class UsageError(Exception):
     """Bad command-line input: unknown id, malformed file, bad value."""
-
-
-# ---------------------------------------------------------------------------
-# argument handling
-# ---------------------------------------------------------------------------
-
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=int, default=100,
-                        help="target decimal digits (default 100)")
-    common.add_argument("--series-order", type=int, default=720,
-                        help="lattice truncation order for exact checks "
-                             "(default 720)")
-    common.add_argument("--probes", type=str, default=None,
-                        help="comma-separated probe values in (0,1), e.g. "
-                             "0.01,0.05; default adds the natural nome")
-    common.add_argument("--json", action="store_true",
-                        help="emit a JSON report instead of text")
-    common.add_argument("--catalogue", type=str, default=None,
-                        help="path to an identity catalogue file")
-    common.add_argument("--registry", type=str, default=None,
-                        help="path to a closed-form registry file")
-
-    parser = argparse.ArgumentParser(
-        prog="thetaprod",
-        description="evaluate and verify Ramanujan theta-function products")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval-a", parents=[common],
-                       help="evaluate the product a(m, n)")
-    p.add_argument("m")
-    p.add_argument("n")
-    p = sub.add_parser("eval-b", parents=[common],
-                       help="evaluate the product b(m, n)")
-    p.add_argument("m")
-    p.add_argument("n")
-    p = sub.add_parser("eval-invariant", parents=[common],
-                       help="evaluate g(n) or G(n)")
-    p.add_argument("kind", choices=("g", "G"))
-    p.add_argument("n")
-    p = sub.add_parser("eval-nome", parents=[common],
-                       help="evaluate exp(-pi sqrt(m/n))")
-    p.add_argument("m")
-    p.add_argument("n")
-
-    p = sub.add_parser("verify-identity", parents=[common],
-                       help="check a catalogued identity (or all)")
-    p.add_argument("id")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--series", action="store_true",
-                      help="exact series check only")
-    mode.add_argument("--numeric", action="store_true",
-                      help="numeric probe check only")
-    mode.add_argument("--both", action="store_true",
-                      help="both checks (default)")
-
-    p = sub.add_parser("verify-corollary", parents=[common],
-                       help="re-check a registry closed form (or all)")
-    p.add_argument("id")
-
-    p = sub.add_parser("reproduce", parents=[common],
-                       help="rebuild a product value from invariants (or all)")
-    p.add_argument("id")
-
-    sub.add_parser("run-suite", parents=[common],
-                   help="run every check in one battery")
-    return parser
 
 
 def _fraction(text: str, what: str) -> Fraction:
@@ -184,7 +119,7 @@ def _residual_details(res, prec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command implementations; each returns a list of CheckRecords
+# command handlers; each takes (args, prec) and returns a list of CheckRecords
 # ---------------------------------------------------------------------------
 
 def _cmd_eval_product(args, prec):
@@ -196,11 +131,12 @@ def _cmd_eval_product(args, prec):
     return [CheckRecord(f"{which}({m},{n})", "value", "pass", details)]
 
 
-def _cmd_eval_invariant(args, prec, registry):
+def _cmd_eval_invariant(args, prec):
+    registry = _load(args, "registry")
     n = _fraction(args.n, "n")
     fn = g_numeric if args.kind == "g" else G_numeric
     details = _value_details(fn(n, prec).value, prec, n=str(n))
-    rec = registry_find(registry, "g", n) if args.kind == "g" else None
+    rec = registry_lookup(args.kind, n, registry)
     if rec is not None:
         details["closed_form"] = rec.expr_text
         details["source"] = rec.source
@@ -214,30 +150,32 @@ def _cmd_eval_nome(args, prec):
     return [CheckRecord(f"nome({m},{n})", "value", "pass", details)]
 
 
-def _identity_records(ident, catalogue):
+def _select(ident, records, find):
+    """Every record for "all", else the one find(records, ident) returns."""
     if ident == "all":
-        return list(catalogue)
+        return list(records)
     try:
-        return [find_record(catalogue, ident)]
+        return [find(records, ident)]
     except KeyError as exc:
         raise UsageError(str(exc.args[0]))
 
 
-def _cmd_verify_identity(args, prec, catalogue):
-    both = args.both or not (args.series or args.numeric)
-    return _identity_checks(catalogue, args.id, prec, args.series or both,
+def _cmd_verify_identity(args, prec):
+    records = _select(args.id, _load(args, "catalogue"), find_record)
+    both = not (args.series or args.numeric)
+    return _identity_checks(records, prec, args.series or both,
                             args.numeric or both, args.series_order, args.probes)
 
 
-def _identity_checks(catalogue, ident, prec, do_series, do_numeric,
-                     series_order, probe_text):
+def _identity_checks(records, prec, do_series, do_numeric, series_order,
+                     probe_text):
     if do_series and series_order < 24:
         raise UsageError("--series-order must be at least 24")
     if do_numeric and prec.target_digits < 40:
         raise UsageError("--digits must be at least 40 for numeric checks")
     custom = _parse_probes(probe_text)
     out = []
-    for rec in _identity_records(ident, catalogue):
+    for rec in records:
         if do_numeric:
             probes = custom if custom is not None else default_probes(rec, prec)
             for label, q in probes:
@@ -256,13 +194,9 @@ def _identity_checks(catalogue, ident, prec, do_series, do_numeric,
     return out
 
 
-def _corollary_records(ident, registry):
-    if ident == "all":
-        return list(registry)
-    try:
-        return [registry_by_id(registry, ident)]
-    except KeyError as exc:
-        raise UsageError(str(exc.args[0]))
+def _cmd_verify_corollary(args, prec):
+    return _corollary_checks(
+        _select(args.id, _load(args, "registry"), registry_by_id), prec)
 
 
 def _corollary_checks(records, prec):
@@ -274,6 +208,12 @@ def _corollary_checks(records, prec):
             {"digits_agreed": chk.digits, "target": prec.target_digits,
              "closed_form": rec.expr_text}))
     return out
+
+
+def _cmd_reproduce(args, prec):
+    registry = _load(args, "registry")
+    ids = reproduce_ids(registry) if args.id == "all" else [args.id]
+    return _reproduce_checks(ids, prec, registry)
 
 
 def _reproduce_checks(ids, prec, registry):
@@ -330,13 +270,68 @@ def _suite_invariant_checks(prec, registry):
     return out
 
 
-def _cmd_run_suite(args, prec, catalogue, registry):
-    out = _identity_checks(catalogue, "all", prec, True, True,
-                           args.series_order, args.probes)
+def _cmd_run_suite(args, prec):
+    catalogue, registry = _load(args, "catalogue"), _load(args, "registry")
+    out = _identity_checks(catalogue, prec, True, True, args.series_order,
+                           args.probes)
     out += _corollary_checks(registry, prec)
     out += _reproduce_checks(reproduce_ids(registry), prec, registry)
     out += _suite_invariant_checks(prec, registry)
     return out
+
+
+# each argument's add_argument keywords; a positional not listed takes none
+_ARGUMENTS = {
+    "kind": {"choices": ("g", "G")},
+    "--digits": {"type": int, "default": 100, "help": "target decimal digits (default 100)"},
+    "--json": {"action": "store_true", "help": "emit a JSON report instead of text"},
+    "--series-order": {"type": int, "default": 720,
+                       "help": "lattice truncation order for exact checks (default 720)"},
+    "--probes": {"help": "comma-separated probe values in (0,1), e.g. 0.01,0.05; "
+                         "default adds the natural nome"},
+    "--catalogue": {"help": "path to an identity catalogue file"},
+    "--registry": {"help": "path to a closed-form registry file"},
+    "--series": {"action": "store_true", "help": "exact series check only"},
+    "--numeric": {"action": "store_true", "help": "numeric probe check only"},
+}
+
+# command -> (help, positional arguments, options besides --digits and --json,
+# handler); a tuple among the options is a group of mutually exclusive flags.
+# The table holds only cli's own handlers: they look up the library functions
+# they call when they run, so that a caller may rebind those names in cli.
+_COMMANDS = {
+    "eval-a": ("evaluate the product a(m, n)", ("m", "n"), (), _cmd_eval_product),
+    "eval-b": ("evaluate the product b(m, n)", ("m", "n"), (), _cmd_eval_product),
+    "eval-invariant": ("evaluate g(n) or G(n)", ("kind", "n"), ("--registry",),
+                       _cmd_eval_invariant),
+    "eval-nome": ("evaluate exp(-pi sqrt(m/n))", ("m", "n"), (), _cmd_eval_nome),
+    "verify-identity": ("check a catalogued identity (or all)", ("id",),
+                        ("--series-order", "--probes", "--catalogue", ("--series", "--numeric")),
+                        _cmd_verify_identity),
+    "verify-corollary": ("re-check a registry closed form (or all)", ("id",), ("--registry",),
+                         _cmd_verify_corollary),
+    "reproduce": ("rebuild a product value from invariants (or all)", ("id",), ("--registry",),
+                  _cmd_reproduce),
+    "run-suite": ("run every check in one battery", (),
+                  ("--series-order", "--probes", "--catalogue", "--registry"), _cmd_run_suite),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="thetaprod",
+        description="evaluate and verify Ramanujan theta-function products")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, positional, options, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in (*positional, "--digits", "--json", *options):
+            if isinstance(name, tuple):
+                group = p.add_mutually_exclusive_group()
+                for flag in name:
+                    group.add_argument(flag, **_ARGUMENTS[flag])
+            else:
+                p.add_argument(name, **_ARGUMENTS.get(name, {}))
+    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -348,33 +343,11 @@ def run(args) -> RunReport:
         raise UsageError("--digits must be positive")
     prec = PrecisionSpec.of(args.digits)
     t0 = time.monotonic()
-
-    if args.command in ("eval-a", "eval-b"):
-        records = _cmd_eval_product(args, prec)
-    elif args.command == "eval-invariant":
-        records = _cmd_eval_invariant(args, prec, _load(args, "registry"))
-    elif args.command == "eval-nome":
-        records = _cmd_eval_nome(args, prec)
-    elif args.command == "verify-identity":
-        records = _cmd_verify_identity(args, prec, _load(args, "catalogue"))
-    elif args.command == "verify-corollary":
-        registry = _load(args, "registry")
-        records = _corollary_checks(_corollary_records(args.id, registry), prec)
-    elif args.command == "reproduce":
-        registry = _load(args, "registry")
-        ids = reproduce_ids(registry) if args.id == "all" else [args.id]
-        records = _reproduce_checks(ids, prec, registry)
-    elif args.command == "run-suite":
-        records = _cmd_run_suite(args, prec, _load(args, "catalogue"),
-                                 _load(args, "registry"))
-    else:
-        raise UsageError(f"unknown command {args.command!r}")
-
+    records = _COMMANDS[args.command][-1](args, prec)
     wall_ms = int((time.monotonic() - t0) * 1000)
-    order = args.series_order if args.command in ("verify-identity",
-                                                  "run-suite") else None
     return RunReport(args.command, args.digits, tuple(records),
-                     series_order=order, wall_ms=wall_ms)
+                     series_order=getattr(args, "series_order", None),
+                     wall_ms=wall_ms)
 
 
 def main(argv=None) -> int:

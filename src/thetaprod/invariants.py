@@ -21,8 +21,6 @@ from .precision import (PrecisionError, PrecisionSpec, RealValue, compute_checke
 from .quotient import EtaQuotient
 from .radicals import CorollaryRecord, load_builtin_registry, registry_find
 
-COMPANIONS = ("triple3", "deg13")
-
 
 class RootSelectionError(ArithmeticError):
     """Root finding failed or landed away from the bootstrap value."""
@@ -84,31 +82,25 @@ def registry_lookup(kind: str, n, records=None) -> CorollaryRecord | None:
 # companion relations
 # ---------------------------------------------------------------------------
 
-def _companion_leg(relation: str, n: Fraction) -> Fraction:
-    if relation == "triple3":
-        return n / 3
-    if relation == "deg13":
-        return n / 13
-    raise AssertionError(relation)
+def _triple3(u: RealValue, k: RealValue) -> RealValue:
+    # 2 sqrt(2) (X^3 + X^-3) = r^6 - r^-6 with X = K u, r = K / u
+    two = RealValue.exact(2)
+    x3, r6 = (k * u).powi(3), (k / u).powi(6)
+    return two * two.sqrt() * (x3 + x3.powi(-1)) - (r6 - r6.powi(-1))
 
 
-def _companion_equation(relation: str):
-    """F(u, k) over balls, zero where u is the target leg and k the known one."""
-    two, six, eight, twenty = (RealValue.exact(c) for c in (2, 6, 8, 20))
-    if relation == "triple3":
-        # 2 sqrt(2) (X^3 + X^-3) = r^6 - r^-6 with X = K u, r = K / u
-        def f(u, k):
-            x3, r6 = (k * u).powi(3), (k / u).powi(6)
-            return two * two.sqrt() * (x3 + x3.powi(-1)) - (r6 - r6.powi(-1))
-        return f
-    if relation == "deg13":
-        # 8 (X^6 + X^-6) = w^7 - 6 w^5 + w^3 + 20 w with w = r - 1/r
-        def f(u, k):
-            x6, w = (k * u).powi(6), k / u - u / k
-            return (eight * (x6 + x6.powi(-1))
-                    - (w.powi(7) - six * w.powi(5) + w.powi(3) + twenty * w))
-        return f
-    raise AssertionError(relation)
+def _deg13(u: RealValue, k: RealValue) -> RealValue:
+    # 8 (X^6 + X^-6) = w^7 - 6 w^5 + w^3 + 20 w with w = r - 1/r
+    six, eight, twenty = (RealValue.exact(c) for c in (6, 8, 20))
+    x6, w = (k * u).powi(6), k / u - u / k
+    return (eight * (x6 + x6.powi(-1))
+            - (w.powi(7) - six * w.powi(5) + w.powi(3) + twenty * w))
+
+
+# relation -> (d, F): from the known leg k = g(d n) the target leg u = g(n / d)
+# is the root of F(u, k), evaluated over balls
+_COMPANION_RELATIONS = {"triple3": (3, _triple3), "deg13": (13, _deg13)}
+COMPANIONS = tuple(_COMPANION_RELATIONS)
 
 
 def solve_companion(relation: str, known: RealValue, n, prec: PrecisionSpec) -> RealValue:
@@ -130,8 +122,8 @@ def solve_companion(relation: str, known: RealValue, n, prec: PrecisionSpec) -> 
     if n <= 0:
         raise ValueError("companion parameter must be positive")
 
-    seed = g_numeric(_companion_leg(relation, n), PrecisionSpec.of(20)).value
-    equation = _companion_equation(relation)
+    d, equation = _COMPANION_RELATIONS[relation]
+    seed = g_numeric(n / d, PrecisionSpec.of(20)).value
 
     def at(u) -> RealValue:
         return equation(RealValue.exact(u), known)

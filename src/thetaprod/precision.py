@@ -205,6 +205,8 @@ class RealValue:
 
     @staticmethod
     def from_fraction(fr: Fraction) -> RealValue:
+        if fr.denominator == 1 and fr.numerator.bit_length() <= mp.prec:
+            return RealValue.exact(fr.numerator)    # held without rounding
         m = mpf(fr.numerator) / mpf(fr.denominator)
         return _ball(m, _rounding(m._mpf_))
 

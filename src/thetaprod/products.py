@@ -33,8 +33,6 @@ FORMS = {
     "b": {"psi_phi_odd": (("psi_plus", 1), ("phi_minus", 1)),
           "euler_quotient": (("f_minus", 1), ("f_minus", 2))},
 }
-A_FORMS = tuple(FORMS["a"])
-B_FORMS = tuple(FORMS["b"])
 
 
 class CrossFormError(ArithmeticError):

@@ -50,22 +50,6 @@ def parse_radical(text: str):
     return parse_text(text, _RADICAL, _radical_error, 1, 1)
 
 
-def render_radical(node) -> str:
-    kind = node[0]
-    if kind == "int":
-        return str(node[1])
-    if kind == "neg":
-        return f"-{render_radical(node[1])}"
-    if kind == "sqrt":
-        return f"sqrt({render_radical(node[1])})"
-    if kind == "pow":
-        e = node[2]
-        etext = str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
-        return f"{render_radical(node[1])}^({etext})"
-    op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[kind]
-    return f"({render_radical(node[1])} {op} {render_radical(node[2])})"
-
-
 def radical_value(node) -> RealValue:
     """A parsed radical expression at the current mp.dps."""
     kind = node[0]

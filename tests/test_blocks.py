@@ -359,6 +359,15 @@ def test_empty_quotient_is_one():
     assert v.magnitude == 1
 
 
+def test_one_factor_quotient_is_its_block_sum():
+    # a lone positive factor is the block's own ball: no multiplication by 1
+    # charges a rounding to it
+    q = probe("0.1")
+    expr = EtaQuotient.of(0, [(1, "f_minus", 1)])
+    with workdps(P40.working_digits):
+        assert blocks.quotient_value(expr, q) == _sum_block("f_minus", q)
+
+
 def test_quotient_matches_blockwise_product():
     q = probe("0.15")
     expr = EtaQuotient.of(Fraction(-1, 6), [(1, "f_minus", 2), (3, "f_minus", -2)])

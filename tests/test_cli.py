@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -263,6 +264,46 @@ def test_forged_registry_fails_with_exit_one(tmp_path, capsys):
     assert "FAIL" in out
 
 
+# the options each command takes: --digits, --json and the ones it reads
+OPTIONS = {
+    "eval-a": {"--digits", "--json"},
+    "eval-b": {"--digits", "--json"},
+    "eval-nome": {"--digits", "--json"},
+    "eval-invariant": {"--digits", "--json", "--registry"},
+    "verify-corollary": {"--digits", "--json", "--registry"},
+    "reproduce": {"--digits", "--json", "--registry"},
+    "verify-identity": {"--digits", "--json", "--series-order", "--probes",
+                        "--catalogue", "--series", "--numeric"},
+    "run-suite": {"--digits", "--json", "--series-order", "--probes",
+                  "--catalogue", "--registry"},
+}
+
+
+def test_each_command_takes_only_the_options_it_reads(capsys):
+    for command, options in OPTIONS.items():
+        assert main([command, "--help"]) == 0
+        shown = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert shown - {"--help"} == options, command
+    assert sum(map(len, OPTIONS.values())) == 28
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-a", "2", "3", "--series-order", "5"],
+    ["eval-nome", "1", "1", "--registry", "x.txt"],
+    ["eval-invariant", "g", "30", "--probes", "0.1"],
+    ["reproduce", "a_2_3", "--catalogue", "x.txt"],
+    ["verify-corollary", "a_2_3", "--series-order", "48"],
+    ["verify-identity", "e24", "--registry", "x.txt"],
+    ["verify-identity", "e24", "--both"],
+    ["run-suite", "--numeric"],
+], ids=" ".join)
+def test_an_option_the_command_does_not_read_is_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
@@ -314,12 +355,12 @@ def test_closed_pipe_is_quiet_and_keeps_the_exit_code():
 
 def test_data_files_are_closed_after_reading():
     data = Path(__file__).resolve().parents[1] / "src" / "thetaprod" / "data"
-    files = ["--catalogue", str(data / "catalogue.txt"),
-             "--registry", str(data / "registry.txt")]
-    for argv in (["verify-identity", "e24", "--series", "--series-order", "24"],
-                 ["verify-corollary", "g_30", "--digits", "30"]):
+    for argv in (["verify-identity", "e24", "--series", "--series-order", "24",
+                  "--catalogue", str(data / "catalogue.txt")],
+                 ["verify-corollary", "g_30", "--digits", "30",
+                  "--registry", str(data / "registry.txt")]):
         proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-m", "thetaprod.cli", *argv, *files],
+            [sys.executable, "-X", "dev", "-m", "thetaprod.cli", *argv],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "ResourceWarning" not in proc.stderr

@@ -10,7 +10,7 @@ from thetaprod.blocks import eval_block, nome
 from thetaprod.invariants import (
     G_numeric,
     RootSelectionError,
-    _companion_equation,
+    _COMPANION_RELATIONS,
     g_numeric,
     quad4_36_value,
     registry_lookup,
@@ -212,7 +212,7 @@ def test_companion_ball_holds_the_root_at_both_ends_of_the_known_ball(relation, 
         k = g_numeric(known_n, spec).value.magnitude
         known = RealValue(k, k * mp.mpf(10) ** -45)
     got = solve_companion(relation, known, n, spec)
-    equation = _companion_equation(relation)
+    _, equation = _COMPANION_RELATIONS[relation]
     with workdps(2 * spec.working_digits):
         roots = [mp.findroot(lambda u: equation(RealValue.exact(u), RealValue.exact(end)).magnitude,
                              got.magnitude)

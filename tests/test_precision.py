@@ -51,6 +51,16 @@ def test_exact_constructors():
     assert abs(v.magnitude - mpf(1) / 3) <= v.error_bound
 
 
+def test_from_fraction_holds_integers_that_fit_exactly():
+    # an integer of at most mp.prec bits is held without rounding; a wider
+    # one, or a non-dyadic rational, is charged its rounding
+    with workdps(50):
+        assert RealValue.from_fraction(Fraction(3)).error_bound == 0
+        assert RealValue.from_fraction(Fraction(-2 ** mp.prec + 1)).error_bound == 0
+        assert RealValue.from_fraction(Fraction(2 ** mp.prec + 1)).error_bound > 0
+        assert RealValue.from_fraction(Fraction(1, 3)).error_bound > 0
+
+
 def test_division_by_noise_is_refused():
     tiny = RealValue(mpf("1e-40"), mpf("1e-39"))
     with pytest.raises(PrecisionError):

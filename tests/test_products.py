@@ -11,9 +11,8 @@ from mpmath import mp, mpf, workdps
 from thetaprod import products
 from thetaprod.precision import (PrecisionError, PrecisionSpec, RealValue,
                                  compute_checked, digits_agreed)
-from thetaprod.products import (A_FORMS, B_FORMS, FORMS, CrossFormError,
-                                ProductValue, a_numeric, b_numeric,
-                                product_value)
+from thetaprod.products import (FORMS, CrossFormError, ProductValue, a_numeric,
+                                b_numeric, product_value)
 
 P50 = PrecisionSpec.of(50)
 P60 = PrecisionSpec.of(60)
@@ -24,7 +23,7 @@ def test_n1_collapse_exactly_one():
         got = a_numeric(m, 1, PrecisionSpec.of(30 + 10))
         assert abs(got.value.magnitude - 1) <= mpf(10) ** -30
         assert got.which == "a"
-        assert got.forms_checked == A_FORMS
+        assert got.forms_checked == tuple(FORMS["a"])
 
 
 def test_b_n1_collapse():
@@ -50,7 +49,7 @@ def test_a25_matches_published_radical():
 
 def test_b_forms_cover_both_labels():
     got = b_numeric(8, 3, P50)
-    assert got.forms_checked == B_FORMS
+    assert got.forms_checked == tuple(FORMS["b"])
     assert got.value.magnitude > 0
 
 

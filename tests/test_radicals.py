@@ -16,7 +16,6 @@ from thetaprod.radicals import (
     parse_registry,
     registry_by_id,
     registry_find,
-    render_radical,
     verify_corollary,
 )
 
@@ -56,6 +55,24 @@ def test_bare_exponent_does_not_swallow_division():
     # x^3 / y is division by y, not the exponent 3/y
     assert value_of("2^3/4").magnitude == 2
     assert value_of("2^(3/2)").magnitude == value_of("sqrt(8)").magnitude
+
+
+def render_radical(node) -> str:
+    """A parsed radical back as text, fully parenthesised: the oracle of the
+    round-trip test."""
+    kind = node[0]
+    if kind == "int":
+        return str(node[1])
+    if kind == "neg":
+        return f"-{render_radical(node[1])}"
+    if kind == "sqrt":
+        return f"sqrt({render_radical(node[1])})"
+    if kind == "pow":
+        e = node[2]
+        etext = str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
+        return f"{render_radical(node[1])}^({etext})"
+    op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[kind]
+    return f"({render_radical(node[1])} {op} {render_radical(node[2])})"
 
 
 def test_round_trip_is_stable():
